@@ -1,6 +1,6 @@
 """Certificate check vs full ``check_solution``: the trust-path speedup.
 
-The portfolio re-verifies cached/journaled winners before trusting them.
+The portfolio re-verifies stored and resumed winners before trusting them.
 Pre-certificates that meant a full ``check_solution`` — closure check,
 deadlock scan, SCC decomposition and a δpss|I = δp|I set comparison — per
 hit.  With a certificate attached, trust is re-established by one

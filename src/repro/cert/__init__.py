@@ -1,8 +1,9 @@
 """Convergence certificates: witness emission and independent checking.
 
 ``emit`` computes a ranking witness at synthesis time; ``checker``
-re-validates it later (cache hits, journal resume, CI) in one vectorised
-pass — no BFS, no reachability, no re-synthesis.  See
+re-validates it later (cache hits, resume, CI) in one vectorised pass — no
+BFS, no reachability, no re-synthesis.  ``trust`` is the one decision every
+stored, resumed or late portfolio outcome goes through.  See
 ``docs/ARCHITECTURE.md`` § Certificates for the trust model.
 """
 
@@ -29,6 +30,7 @@ from .emit import (
     longest_path_ranks,
     shortest_path_ranks,
 )
+from .trust import TrustVerdict, trust_outcome
 
 __all__ = [
     "CERT_SCHEMA",
@@ -46,6 +48,8 @@ __all__ = [
     "longest_path_ranks",
     "reconstruct_pss_groups",
     "shortest_path_ranks",
+    "TrustVerdict",
     "tamper_certificate_payload",
+    "trust_outcome",
     "validate_certificate",
 ]

@@ -203,7 +203,7 @@ def check_certificate(
     """Validate ``cert`` against ``(original, I)`` with the explicit engine.
 
     ``expected_pss`` (per-process group collections) additionally pins the
-    reconstructed ``pss`` to a recorded winner — used on cache/journal
+    reconstructed ``pss`` to a recorded winner — used on cache/resume
     paths so a valid certificate for a *different* solution is rejected.
 
     Returns a :class:`CertificateCheck`; raises

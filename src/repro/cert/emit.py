@@ -196,7 +196,7 @@ def emit_certificate_from_groups(
     mode: str = "strong",
     schedule: tuple[int, ...] | None = None,
 ) -> ConvergenceCertificate:
-    """Emission from bare ``pss`` group sets (cache / journal records)."""
+    """Emission from bare ``pss`` group sets (stored cache records)."""
     pss = original.with_groups(
         [set(g) for g in pss_groups], name=f"{original.name}_ss"
     )

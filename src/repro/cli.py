@@ -217,7 +217,7 @@ def _synthesize_portfolio(args) -> int:
     n_resumed = sum(1 for o in completed if o.resumed)
     n_crashed = sum(1 for o in completed if o.crashed)
     print(f"portfolio outcomes: {len(completed)} "
-          f"({n_cached} from cache, {n_resumed} from journal)")
+          f"({n_cached} from cache, {n_resumed} resumed)")
     if n_crashed:
         print(f"crashed out       : {n_crashed} config(s) "
               f"(retries exhausted; see trace counters)")
@@ -267,6 +267,8 @@ def _cmd_worker(args) -> int:
     dropped coordinator cancels the running job and the server returns to
     accepting, so a crashed sweep never wedges the fleet.
     """
+    import signal
+
     from .parallel.transport import run_worker_server
 
     jobs = run_worker_server(
@@ -275,6 +277,13 @@ def _cmd_worker(args) -> int:
         drain_timeout=args.drain_timeout,
         log=lambda line: print(line, flush=True),
     )
+    # a drained worker has nothing left to stop: a late SIGTERM/SIGINT
+    # (e.g. a supervisor's second signal) must not kill it with -15 while
+    # the interpreter shuts down.  Ignored process-wide, not masked: a
+    # mask covers only this thread, and the server's daemon threads are
+    # still alive to take the signal
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, signal.SIG_IGN)
     print(f"worker served {jobs} job(s)")
     return 0
 
@@ -569,8 +578,9 @@ def make_parser() -> argparse.ArgumentParser:
     p_syn.add_argument(
         "--resume",
         action="store_true",
-        help="skip configs already journaled in --cache-dir's "
-        "portfolio_state.jsonl (checkpoint/resume after a killed sweep)",
+        help="replay every outcome stored in --cache-dir, crashed-out and "
+        "deadline-cancelled ones included, instead of re-running it "
+        "(checkpoint/resume after a killed sweep)",
     )
     p_syn.add_argument(
         "--hard-deadline",
@@ -619,7 +629,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_syn.add_argument(
         "--paranoid",
         action="store_true",
-        help="re-verify cached/journaled winners with the full "
+        help="re-verify stored or resumed winners with the full "
         "check_solution even when they carry a valid certificate",
     )
     p_syn.set_defaults(func=_cmd_synthesize)

@@ -1,11 +1,10 @@
 """Multi-process portfolio synthesis with shared precompute, adaptive
 scheduling, an on-disk synthesis cache and a fault-tolerant supervised
 runtime — crash isolation with retries, a hard-deadline watchdog and
-journal-based checkpoint/resume (one heuristic instance per worker, paper
-Figure 1)."""
+checkpoint/resume from the outcome store (one heuristic instance per
+worker, paper Figure 1)."""
 
 from .cache import SynthesisCache, config_key, protocol_fingerprint
-from .journal import PortfolioJournal
 from .pool import ParallelOutcome, merge_worker_traces, synthesize_parallel
 from .precompute import (
     PortfolioPrecompute,
@@ -27,7 +26,6 @@ __all__ = [
     "CostModel",
     "LocalProcessTransport",
     "ParallelOutcome",
-    "PortfolioJournal",
     "PortfolioPrecompute",
     "PrecomputeSpec",
     "SharedRankArray",

@@ -2,8 +2,8 @@
 
 Benchmark sweeps and repeated CLI runs re-solve the exact same
 (protocol, schedule, options) configurations over and over; related
-synthesis tools amortise that work across candidates.  Here every completed
-portfolio outcome is memoised under a content key:
+synthesis tools amortise that work across candidates.  Here every settled
+portfolio outcome is stored under a content key:
 
 ``protocol_fingerprint``
     SHA-256 over the state space (variable names + radices), the topology
@@ -14,9 +14,22 @@ portfolio outcome is memoised under a content key:
     ``HeuristicOptions`` record.
 
 One JSON file per key under ``cache_dir`` (human-inspectable, safe to
-delete).  A hit reconstructs the :class:`~repro.parallel.ParallelOutcome`
-without spawning a single worker, so a warm re-run returns in near-constant
-time.  Cancelled/timed-out/crashed runs are never cached.
+delete), in the same outcome encoding the TCP transport ships
+(:func:`~repro.parallel.transport.outcome_to_payload`), plus a ``status``:
+
+``done``
+    the run completed (success or failure) — the only status a plain
+    lookup answers with, so a warm re-run returns without spawning a single
+    worker;
+``crashed`` / ``deadline``
+    every attempt died, or the soft deadline cancelled the run.  These are
+    replayed only under ``resume=True`` (checkpoint/resume after a killed
+    sweep); a fresh run re-runs them.
+
+An entry without ``status`` reads as ``done``.  Race-cancelled losers are
+never stored.  A stored success is never taken on faith: :meth:`get`
+re-establishes trust through :func:`repro.cert.trust_outcome` and
+quarantines an entry that fails it.
 
 The directory doubles as the cluster's **shared content-addressed store**:
 several coordinator hosts may read and write it concurrently (over NFS or
@@ -43,10 +56,16 @@ from dataclasses import asdict
 
 from ..protocol.predicate import Predicate
 from ..protocol.protocol import Protocol
+from ..trace.tracer import NULL_TRACER
+from .scheduler import CostModel
 from .storeio import StoreClaim, atomic_write_json, sweep_partials
+from .transport import outcome_from_payload, outcome_to_payload
 
 #: bump when the stored schema changes; stale entries are ignored
 CACHE_SCHEMA = 1
+
+#: settled-outcome statuses an entry may carry
+STATUSES = ("done", "crashed", "deadline")
 
 
 def protocol_fingerprint(protocol: Protocol, invariant: Predicate) -> str:
@@ -80,13 +99,11 @@ def config_key(fingerprint: str, config) -> str:
 
 
 class SynthesisCache:
-    """A directory of memoised portfolio outcomes, one JSON file per key."""
+    """A directory of settled portfolio outcomes, one JSON file per key."""
 
     def __init__(self, cache_dir: str | os.PathLike):
         self.cache_dir = os.fspath(cache_dir)
         os.makedirs(self.cache_dir, exist_ok=True)
-        self.hits = 0
-        self.misses = 0
         self.quarantined = 0
         self.claims = StoreClaim(self.cache_dir)
         # startup hygiene for the shared store: writers that died mid-write
@@ -100,7 +117,7 @@ class SynthesisCache:
     def _path(self, key: str) -> str:
         return os.path.join(self.cache_dir, f"{key}.json")
 
-    def _quarantine_path(self, path: str) -> None:
+    def _quarantine(self, path: str) -> None:
         """Move a bad entry aside (``*.corrupt``) instead of deleting it."""
         try:
             os.replace(path, path + ".corrupt")
@@ -108,75 +125,85 @@ class SynthesisCache:
             return
         self.quarantined += 1
 
-    def quarantine(self, fingerprint: str, config) -> None:
-        """Quarantine the entry for one config (e.g. a cached winner that
-        failed re-verification against ``check_solution``)."""
-        self._quarantine_path(self._path(config_key(fingerprint, config)))
+    def get(
+        self,
+        fingerprint: str,
+        config,
+        protocol,
+        invariant,
+        *,
+        paranoid: bool = False,
+        tracer=NULL_TRACER,
+        resume: bool = False,
+    ):
+        """The stored :class:`ParallelOutcome` for one config, or ``None``.
 
-    def get(self, fingerprint: str, config):
-        """Return the memoised :class:`ParallelOutcome` or ``None``.
-
-        A file that exists but cannot be parsed back into an outcome is
-        quarantined to ``*.corrupt`` and reported as a miss.
+        Only ``done`` entries answer unless ``resume`` is set, which
+        replays every status and tags the outcome ``resumed`` instead of
+        ``cached``.  A stored success is trusted only through
+        :func:`repro.cert.trust_outcome` (``paranoid`` forces the full
+        ``check_solution``).  An entry that cannot be parsed, or whose
+        success is not trusted, is quarantined to ``*.corrupt`` and misses;
+        a schema mismatch is staleness, not corruption: a plain miss.
         """
-        from .pool import ParallelOutcome
-
         path = self._path(config_key(fingerprint, config))
-        if not os.path.exists(path):
-            self.misses += 1
-            return None
         try:
             with open(path) as handle:
                 record = json.load(handle)
             if not isinstance(record, dict):
                 raise ValueError("cache entry is not a JSON object")
             if record.get("schema") != CACHE_SCHEMA:
-                # a schema bump is staleness, not corruption: plain miss
-                self.misses += 1
                 return None
-            pss = record.get("pss_groups")
-            outcome = ParallelOutcome(
-                config=config,
-                success=bool(record["success"]),
-                pss_groups=(
-                    [set(map(tuple, g)) for g in pss]
-                    if pss is not None
-                    else None
-                ),
-                remaining_deadlocks=int(record.get("remaining_deadlocks", 0)),
-                timers=dict(record.get("timers", {})),
-                counters=dict(record.get("counters", {})),
-                cached=True,
-                certificate=record.get("certificate"),
-            )
+            if "success" not in record:
+                raise ValueError("cache entry has no outcome")
+            status = record.get("status", "done")
+            if status not in STATUSES:
+                raise ValueError(f"unknown entry status {status!r}")
+            outcome = outcome_from_payload(config, record)
         except OSError:
-            self.misses += 1
             return None
         except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            self._quarantine_path(path)
-            self.misses += 1
+            self._quarantine(path)
             return None
-        self.hits += 1
+        if status != "done" and not resume:
+            return None
+        outcome.crashed = status == "crashed"
+        outcome.cached, outcome.resumed = not resume, resume
+        if outcome.success:
+            # local import: repro.cert imports this module for the
+            # protocol fingerprint
+            from ..cert.trust import trust_outcome
+
+            if not trust_outcome(
+                protocol,
+                invariant,
+                outcome.pss_groups,
+                outcome.certificate,
+                paranoid=paranoid,
+                tracer=tracer,
+            ).trusted:
+                self._quarantine(path)
+                return None
         return outcome
 
     def put(self, fingerprint: str, outcome) -> str | None:
-        """Memoise a completed outcome; returns the file path (None when the
-        outcome is not cacheable, e.g. it was cancelled or crashed)."""
-        if outcome.cancelled or outcome.cached or outcome.crashed:
+        """Store one settled outcome; returns the file path (None when it is
+        not stored: race-cancelled, read back from the store, a crash or
+        deadline marker for a key that already has an entry, or another
+        writer holds the key's claim)."""
+        if outcome.crashed:
+            status = "crashed"
+        elif outcome.cancelled:
+            status = "deadline" if outcome.cancel_reason == "deadline" else None
+        else:
+            status = "done"
+        if status is None or outcome.cached or outcome.resumed:
             return None
         record = {
             "schema": CACHE_SCHEMA,
             "config": outcome.config.describe(),
-            "success": outcome.success,
-            "pss_groups": (
-                [sorted(g) for g in outcome.pss_groups]
-                if outcome.pss_groups is not None
-                else None
-            ),
-            "remaining_deadlocks": outcome.remaining_deadlocks,
-            "timers": outcome.timers,
-            "counters": outcome.counters,
-            "certificate": getattr(outcome, "certificate", None),
+            "status": status,
+            **outcome_to_payload(outcome),
         }
         from ..faults.runtime import should_corrupt_cache, should_corrupt_cert
 
@@ -192,6 +219,10 @@ class SynthesisCache:
             )
         key = config_key(fingerprint, outcome.config)
         path = self._path(key)
+        if status != "done" and os.path.exists(path):
+            # a crash or deadline marker never replaces a stored answer
+            # that a concurrent writer settled for the same key
+            return None
         # the O_EXCL claim keeps concurrent multi-host writers off the same
         # key: the loser skips a byte-identical redundant write (the store is
         # content-addressed, either copy is correct), and a claim from a
@@ -212,6 +243,9 @@ class SynthesisCache:
         return path
 
     def __len__(self) -> int:
+        """Stored outcomes (the cost model's file shares the directory)."""
         return sum(
-            1 for n in os.listdir(self.cache_dir) if n.endswith(".json")
+            1
+            for n in os.listdir(self.cache_dir)
+            if n.endswith(".json") and n != CostModel.FILENAME
         )

@@ -29,10 +29,11 @@ survivability (see ``docs/ARCHITECTURE.md``, "Fault tolerance"):
   effective limit is ``hard_deadline + options.stall_seconds`` so the
   simulated slow machines of the paper's heterogeneous setting are not
   penalised for their stall;
-* **checkpoint/resume** — with ``cache_dir`` set, every settled outcome is
-  journaled to ``portfolio_state.jsonl`` (:mod:`repro.parallel.journal`);
-  ``resume=True`` replays journaled configs instead of re-running them
-  after a SIGKILL or power loss;
+* **checkpoint/resume** — with ``cache_dir`` set, every settled outcome
+  (done, crashed-out or deadline-cancelled) is stored in the cache
+  (:mod:`repro.parallel.cache`) as it settles; ``resume=True`` replays
+  those entries instead of re-running their configs after a SIGKILL or
+  power loss;
 * **fault injection** — a :class:`repro.faults.FaultPlan` (or the
   ``REPRO_FAULT_PLAN`` environment variable) deterministically crashes or
   hangs targeted workers, corrupts cache entries and drops trace files, so
@@ -46,8 +47,10 @@ The other cooperating parts are unchanged from the shared-precompute
 engine: :mod:`repro.parallel.precompute` (one-shot schedule-independent
 work, zero-copy under fork, shared-memory rank array under spawn),
 :mod:`repro.parallel.scheduler` (cost-ordered queue, soft deadlines,
-cooperative :class:`CancelToken`) and :mod:`repro.parallel.cache` (on-disk
-memo with quarantine of corrupt entries).  With ``trace_dir`` set, every
+cooperative :class:`CancelToken`) and :mod:`repro.parallel.cache` (the
+on-disk outcome store; stored successes are re-trusted through
+:func:`repro.cert.trust_outcome`, corrupt or untrusted entries are
+quarantined).  With ``trace_dir`` set, every
 worker attempt streams its own JSONL trace and the parent writes
 ``portfolio.jsonl``; whatever survives merges into ``merged.jsonl``.
 """
@@ -71,8 +74,7 @@ from ..faults import runtime as fault_runtime
 from ..faults.runtime import FaultPlan
 from ..metrics.stats import SynthesisStats
 from ..trace.tracer import NULL_TRACER, Tracer
-from .cache import SynthesisCache, config_key, protocol_fingerprint
-from .journal import PortfolioJournal
+from .cache import SynthesisCache, protocol_fingerprint
 from .precompute import (
     PortfolioPrecompute,
     PrecomputeSpec,
@@ -117,19 +119,19 @@ class ParallelOutcome:
     cancel_reason: str | None = None
     #: True when the outcome came from the on-disk cache (no worker ran)
     cached: bool = False
-    #: worker wall-clock in seconds (0.0 for cached outcomes)
+    #: worker wall-clock in seconds (as recorded, for stored outcomes)
     duration: float = 0.0
     #: True when every attempt died (crash or watchdog kill) — the config
     #: was retried ``retries`` times and never produced an answer
     crashed: bool = False
     #: how many times the config was requeued after a crash/kill
     retries: int = 0
-    #: True when the outcome was replayed from the resume journal
+    #: True when the outcome was replayed from the store by ``resume=True``
     resumed: bool = False
     #: JSON payload of the worker's :class:`ConvergenceCertificate` (None
     #: when the run failed or emission was unavailable); lets the parent —
-    #: and later cache/journal consumers — re-establish trust in the
-    #: recorded ``pss_groups`` without re-running ``check_solution``
+    #: and later store readers — re-establish trust in the recorded
+    #: ``pss_groups`` without re-running ``check_solution``
     certificate: dict | None = None
 
 
@@ -140,33 +142,23 @@ class ParallelOutcome:
 #: per-worker context: event, soft deadline, builder, precompute
 _WORKER_CTX: dict | None = None
 
-#: parent-side stash read by fork children through copy-on-write; must be
-#: populated *before* workers spawn and cleared after the race
-_FORK_PRECOMPUTE: PortfolioPrecompute | None = None
-
-
-def _set_fork_precompute(pre: PortfolioPrecompute | None) -> None:
-    global _FORK_PRECOMPUTE
-    _FORK_PRECOMPUTE = pre
-
 
 def _init_worker(
-    event, soft_deadline, builder, builder_args, spec, fault_plan=None
+    event, soft_deadline, builder, builder_args, precompute, fault_plan=None
 ) -> None:
     """Runs once in every worker process.
 
-    Under fork the precompute is inherited zero-copy via
-    :data:`_FORK_PRECOMPUTE`; under spawn it is rebuilt from the picklable
-    ``spec`` (rank array attached from shared memory).  ``spec`` and the
-    stash are both ``None`` when precompute sharing is disabled, in which
-    case each job rebuilds everything from the builder (the pre-PR-3
-    behaviour, kept for benchmarking the speedup honestly).
+    ``precompute`` is the race's own :class:`PortfolioPrecompute` under
+    fork (a ``Process`` argument, inherited zero-copy without pickling) or
+    its picklable :class:`PrecomputeSpec` under spawn, rebuilt here with
+    the rank array attached from shared memory.  It is ``None`` when
+    precompute sharing is disabled, in which case each job rebuilds
+    everything from the builder (kept for benchmarking the speedup
+    honestly).
     """
     global _WORKER_CTX
-    if spec is not None:
-        precompute = spec.rebuild()
-    else:
-        precompute = _FORK_PRECOMPUTE
+    if isinstance(precompute, PrecomputeSpec):
+        precompute = precompute.rebuild()
     _WORKER_CTX = {
         "event": event,
         "soft_deadline": soft_deadline,
@@ -289,7 +281,7 @@ class _WorkerError:
 
 
 def _worker_loop(
-    conn, event, soft_deadline, builder, builder_args, spec, fault_plan
+    conn, event, soft_deadline, builder, builder_args, precompute, fault_plan
 ) -> None:
     """Entry point of one supervised local worker process.
 
@@ -299,7 +291,9 @@ def _worker_loop(
     shutdown sentinel.  Exceptions travel back wrapped in
     :class:`_WorkerError` so the parent can re-raise them.
     """
-    _init_worker(event, soft_deadline, builder, builder_args, spec, fault_plan)
+    _init_worker(
+        event, soft_deadline, builder, builder_args, precompute, fault_plan
+    )
     while True:
         try:
             job = conn.recv()
@@ -844,51 +838,6 @@ class _Supervisor:
 
 
 # ----------------------------------------------------------------------
-# journal record <-> outcome
-# ----------------------------------------------------------------------
-
-
-def _journal_record(outcome: ParallelOutcome) -> dict:
-    return {
-        "config": outcome.config.describe(),
-        "success": outcome.success,
-        "crashed": outcome.crashed,
-        "cancelled": outcome.cancelled,
-        "cancel_reason": outcome.cancel_reason,
-        "retries": outcome.retries,
-        "remaining_deadlocks": outcome.remaining_deadlocks,
-        "pss_groups": (
-            [sorted(g) for g in outcome.pss_groups]
-            if outcome.pss_groups is not None
-            else None
-        ),
-        "duration": outcome.duration,
-        "certificate": outcome.certificate,
-    }
-
-
-def _outcome_from_journal(config: SynthesisConfig, record: dict) -> ParallelOutcome:
-    pss = record.get("pss_groups")
-    return ParallelOutcome(
-        config=config,
-        success=bool(record.get("success", False)),
-        pss_groups=(
-            [set(map(tuple, g)) for g in pss] if pss is not None else None
-        ),
-        remaining_deadlocks=int(record.get("remaining_deadlocks", -1)),
-        timers={},
-        counters={},
-        cancelled=bool(record.get("cancelled", False)),
-        cancel_reason=record.get("cancel_reason"),
-        crashed=bool(record.get("crashed", False)),
-        retries=int(record.get("retries", 0)),
-        duration=float(record.get("duration", 0.0)),
-        resumed=True,
-        certificate=record.get("certificate"),
-    )
-
-
-# ----------------------------------------------------------------------
 # the race
 # ----------------------------------------------------------------------
 
@@ -936,23 +885,23 @@ def synthesize_parallel(
     is requeued up to ``max_retries`` times with capped exponential backoff
     (``retry_backoff`` .. ``retry_backoff_cap`` seconds, deterministic
     jitter); after exhaustion the config settles as a
-    ``ParallelOutcome(crashed=True, retries=N)``.  With ``cache_dir``,
-    settled outcomes are journaled to ``portfolio_state.jsonl`` and
-    ``resume=True`` replays them instead of re-running (a sweep killed by
-    SIGKILL restarts where it stopped).  ``fault_plan`` (default: parsed
-    from ``REPRO_FAULT_PLAN``) injects deterministic crashes/hangs/
+    ``ParallelOutcome(crashed=True, retries=N)``.  ``fault_plan`` (default:
+    parsed from ``REPRO_FAULT_PLAN``) injects deterministic crashes/hangs/
     corruption for drills.
 
-    With ``cache_dir``, completed outcomes are also memoised on disk and
-    repeat runs resolve from cache without spawning workers; cached and
-    journaled winners are re-verified before they are trusted.  Winners
-    carrying a convergence certificate (:mod:`repro.cert`) are checked with
-    the independent certificate checker — orders of magnitude cheaper than
-    re-running ``check_solution`` — while certificate-less records fall back
-    to the full ``check_solution``.  ``paranoid=True`` forces the full
-    re-check even when a certificate is present.  Records that fail either
-    check are quarantined (cache) or re-run (journal).  With ``trace_dir``, each worker attempt
-    writes ``worker_<index>[_r<attempt>].jsonl``, the parent writes
+    With ``cache_dir``, every settled outcome is stored on disk as it
+    settles (:class:`~repro.parallel.cache.SynthesisCache`).  Repeat runs
+    resolve completed configs from the store without spawning workers;
+    ``resume=True`` also replays crashed-out and deadline-cancelled
+    entries, so a sweep killed by SIGKILL restarts where it stopped.  A
+    stored, resumed or late-arriving winner is trusted only through
+    :func:`repro.cert.trust_outcome`: its convergence certificate is
+    re-checked — orders of magnitude cheaper than re-running
+    ``check_solution`` — and certificate-less records fall back to the full
+    ``check_solution``.  ``paranoid=True`` forces the full re-check even
+    when a certificate is present.  Stored records that fail are
+    quarantined and their configs re-run.  With ``trace_dir``, each worker
+    attempt writes ``worker_<index>[_r<attempt>].jsonl``, the parent writes
     ``portfolio.jsonl``, and everything surviving merges into
     ``merged.jsonl`` (stale traces from earlier runs are removed first).
 
@@ -974,10 +923,9 @@ def synthesize_parallel(
     :class:`~repro.core.exceptions.PortfolioError` (every run was
     race-cancelled), which the owner maps to "cancelled".
     """
-    # local imports: repro.cert reaches back into repro.parallel.cache for
+    # local import: repro.cert reaches back into repro.parallel.cache for
     # the protocol fingerprint, so importing it at module top would cycle
-    from ..cert import CertificateError, ConvergenceCertificate, check_certificate
-    from ..verify.stabilization import check_solution
+    from ..cert import trust_outcome
 
     if resume and cache_dir is None:
         raise ValueError("resume=True requires cache_dir")
@@ -1011,9 +959,6 @@ def synthesize_parallel(
         if cache_dir is not None
         else ""
     )
-    journal = (
-        PortfolioJournal.in_dir(cache_dir) if cache_dir is not None else None
-    )
 
     previous_plan = fault_runtime.active_fault_plan()
     fault_runtime.install_fault_plan(fault_plan)  # parent-side hooks
@@ -1022,90 +967,43 @@ def synthesize_parallel(
             config_list, fingerprint, cost_model if cache_dir else None
         )
 
-        def verified(outcome: ParallelOutcome) -> bool:
-            """Re-establish trust in a cached/journaled winner.
-
-            With a certificate attached (and ``paranoid`` off) the winner is
-            re-verified by the independent certificate checker — no
-            synthesis, no BFS over the full graph.  Without one (or with
-            ``paranoid=True``) the full ``check_solution`` runs.
-            """
-            if outcome.pss_groups is None:
-                return False
-            pss_groups = [set(map(tuple, g)) for g in outcome.pss_groups]
-            if outcome.certificate is not None and not paranoid:
-                with tracer.span("cert.check"):
-                    try:
-                        cert = ConvergenceCertificate.from_payload(
-                            outcome.certificate
-                        )
-                        check_certificate(
-                            protocol,
-                            invariant,
-                            cert,
-                            expected_pss=pss_groups,
-                        )
-                    except CertificateError as exc:
-                        tracer.count("cert.check_fail")
-                        tracer.event(
-                            "cert.check_failed",
-                            config=outcome.config.describe(),
-                            error=str(exc),
-                        )
-                        return False
-                tracer.count("cert.check_pass")
-                return True
-            rebuilt = protocol.with_groups(pss_groups)
-            return check_solution(protocol, rebuilt, invariant).ok
-
         # ------------------------------------------------------------------
-        # resume + cache sweep: settled configs never reach the workers
+        # store sweep: settled configs never reach the workers
         # ------------------------------------------------------------------
-        journaled: dict[str, dict] = {}
-        if journal is not None:
-            if resume:
-                journaled = journal.load()
-            else:
-                journal.reset()
-
         completed: list[ParallelOutcome] = []
         winner: ParallelOutcome | None = None
         pending: list[SynthesisConfig] = []
         for config in config_list:
-            key = config_key(fingerprint, config) if cache_dir else ""
-            record = journaled.get(key)
-            if record is not None:
-                outcome = _outcome_from_journal(config, record)
-                # a journaled winner is re-verified like a cached one; a
-                # record that fails verification falls through and re-runs
-                if not outcome.success or verified(outcome):
-                    tracer.event(
-                        "portfolio.resume_skip",
-                        config=config.describe(),
-                        success=outcome.success,
-                        crashed=outcome.crashed,
-                    )
-                    tracer.count("portfolio.resume_skips")
-                    completed.append(outcome)
-                    if outcome.success and winner is None:
-                        winner = outcome
-                    continue
-            hit = cache.get(fingerprint, config) if cache is not None else None
-            if hit is not None and hit.success and not verified(hit):
-                # the entry parses but its solution no longer verifies:
-                # quarantine and recompute instead of returning a bad winner
-                cache.quarantine(fingerprint, config)
-                hit = None
-            if hit is None:
-                if cache is not None:
-                    tracer.event("cache.miss", config=config.describe())
-                    tracer.count("portfolio.cache_misses")
+            if cache is None:
                 pending.append(config)
                 continue
-            tracer.event(
-                "cache.hit", config=config.describe(), success=hit.success
+            hit = cache.get(
+                fingerprint,
+                config,
+                protocol,
+                invariant,
+                paranoid=paranoid,
+                tracer=tracer,
+                resume=resume,
             )
-            tracer.count("portfolio.cache_hits")
+            if hit is None:
+                tracer.event("cache.miss", config=config.describe())
+                tracer.count("portfolio.cache_misses")
+                pending.append(config)
+                continue
+            if hit.resumed:
+                tracer.event(
+                    "portfolio.resume_skip",
+                    config=config.describe(),
+                    success=hit.success,
+                    crashed=hit.crashed,
+                )
+                tracer.count("portfolio.resume_skips")
+            else:
+                tracer.event(
+                    "cache.hit", config=config.describe(), success=hit.success
+                )
+                tracer.count("portfolio.cache_hits")
             completed.append(hit)
             if hit.success and winner is None:
                 winner = hit
@@ -1128,8 +1026,9 @@ def synthesize_parallel(
         # ------------------------------------------------------------------
         ctx, method = _get_mp_context(start_method)
         with ExitStack() as stack:
-            precompute: PortfolioPrecompute | None = None
-            spec: PrecomputeSpec | None = None
+            # what each local worker starts from: the precompute itself
+            # under fork, its picklable spec under spawn, None unshared
+            shared: PortfolioPrecompute | PrecomputeSpec | None = None
             if share_precompute:
                 precompute = precompute_portfolio(
                     protocol, invariant, stats=SynthesisStats(tracer=tracer)
@@ -1143,12 +1042,11 @@ def synthesize_parallel(
                     # spawn-mode failures cannot leak /dev/shm segments
                     stack.callback(shared_rank.unlink)
                     stack.callback(shared_rank.close)
-                    spec = PrecomputeSpec.from_precompute(
+                    shared = PrecomputeSpec.from_precompute(
                         precompute, builder, builder_args, shared_rank
                     )
-            if method == "fork" and share_precompute:
-                _set_fork_precompute(precompute)
-                stack.callback(_set_fork_precompute, None)
+                else:
+                    shared = precompute
 
             if worker_endpoints:
                 n_workers = n_workers or len(worker_endpoints)
@@ -1182,18 +1080,23 @@ def synthesize_parallel(
                     cost_model.observe(
                         fingerprint, outcome.config, outcome.duration
                     )
-                    if cache is not None:
-                        cache.put(fingerprint, outcome)
-                if journal is not None:
-                    journal.append(
-                        config_key(fingerprint, outcome.config),
-                        _journal_record(outcome),
-                    )
+                if cache is not None:
+                    cache.put(fingerprint, outcome)
+
+            def verify_duplicate(outcome: ParallelOutcome) -> bool:
+                return trust_outcome(
+                    protocol,
+                    invariant,
+                    outcome.pss_groups,
+                    outcome.certificate,
+                    paranoid=paranoid,
+                    tracer=tracer,
+                ).trusted
 
             event = cancel_event if cancel_event is not None else ctx.Event()
             local_transport = LocalProcessTransport(
                 ctx,
-                (event, soft_deadline, builder, builder_args, spec, fault_plan),
+                (event, soft_deadline, builder, builder_args, shared, fault_plan),
                 _worker_loop,
             )
             if worker_endpoints:
@@ -1229,7 +1132,7 @@ def synthesize_parallel(
                 cancel_grace=cancel_grace,
                 on_result=on_result,
                 lease_timeout=lease_timeout,
-                verify_duplicate=verified,
+                verify_duplicate=verify_duplicate,
             )
             winner, raced = supervisor.run()
             completed.extend(raced)

@@ -1038,6 +1038,7 @@ def run_worker_server(
     SIGTERM/SIGINT trigger a graceful drain: stop accepting, finish the
     in-flight job (heartbeats included) up to ``drain_timeout`` seconds,
     deliver its result, exit 0.  A second signal forces an immediate stop.
+    The previous handlers are restored on return.
     """
     import signal
 
@@ -1053,16 +1054,21 @@ def run_worker_server(
         else:
             server.request_drain()
 
+    previous = {}
     try:
         for signum in (signal.SIGTERM, signal.SIGINT):
-            signal.signal(signum, _on_signal)
+            previous[signum] = signal.signal(signum, _on_signal)
     except ValueError:
         pass  # not the main thread (embedded in tests): no signal hooks
-    server.start()
     try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    if server.draining:
-        server.log("drained cleanly")
-    return server.jobs_done
+        server.start()
+        try:
+            server.serve_forever()
+        except KeyboardInterrupt:
+            pass
+        if server.draining:
+            server.log("drained cleanly")
+        return server.jobs_done
+    finally:
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)

@@ -12,8 +12,8 @@ Modules:
 
 ``http``          stdlib HTTP/1.1 parsing, JSON responses, chunked/SSE streams
 ``jobs``          job specs, lifecycle states, the fair bounded queue
-``store``         the certificate-backed result store (re-verify or quarantine)
-``orchestrator``  the asyncio admission loop + executor-thread races
+``orchestrator``  the asyncio admission loop, the store lookup (re-trust or
+                  quarantine) + executor-thread races
 ``metrics``       service counters and the /metrics report
 ``server``        routing, ``run_service``, the embeddable :class:`ServiceHandle`
 """
@@ -26,12 +26,10 @@ from .jobs import (
     JobQueue,
     JobRegistry,
     JobSpec,
-    SUPPORTED_BACKENDS,
 )
 from .metrics import ServiceMetrics
 from .orchestrator import Orchestrator, ServiceRejected
 from .server import DEFAULT_SERVICE_PORT, Service, ServiceHandle, run_service
-from .store import ResultStore, StoreAnswer
 
 __all__ = [
     "BUILTIN_PROTOCOLS",
@@ -45,12 +43,9 @@ __all__ = [
     "MAX_BODY_BYTES",
     "MAX_HEADER_BYTES",
     "Orchestrator",
-    "ResultStore",
     "Service",
     "ServiceHandle",
     "ServiceMetrics",
     "ServiceRejected",
-    "StoreAnswer",
-    "SUPPORTED_BACKENDS",
     "run_service",
 ]

@@ -1,13 +1,9 @@
 """Job model for the synthesis service: specs, lifecycle, fair queueing.
 
 A **job** is one synthesis request: a protocol (builtin parameters or
-``.stsyn`` source), an optional pinned schedule and heuristic options, a
-tenant for fairness accounting, and a ``backend`` selector.  ``backend``
-is carried from day one so the planned complete SMT backend (Faghih et
-al.) can later be raced behind the same endpoint without an API change —
-today only ``"heuristic"`` (the paper's three-pass portfolio) is
-implemented and anything else is refused at validation with the supported
-list, which is exactly the contract a future backend slots into.
+``.stsyn`` source), an optional pinned schedule and heuristic options, and
+a tenant for fairness accounting.  Every job races the paper's three-pass
+heuristic portfolio.
 
 :class:`JobSpec` validates untrusted JSON into a typed record (every
 violation raises :class:`InvalidJob`, which the server maps to a 400);
@@ -32,10 +28,6 @@ from typing import Callable
 
 from ..core.heuristic import HeuristicOptions
 from ..core.synthesizer import SynthesisConfig, default_portfolio
-
-#: backends a job may request; only the first is implemented today — the
-#: rest of the list is the extension seam for the complete SMT backend
-SUPPORTED_BACKENDS = ("heuristic",)
 
 #: builtin protocols a job may name, mirroring the CLI
 BUILTIN_PROTOCOLS = (
@@ -91,7 +83,6 @@ class JobSpec:
     source: str | None = None
     schedule: tuple[int, ...] | None = None
     options: dict | None = None
-    backend: str = "heuristic"
     tenant: str = "default"
 
     # ------------------------------------------------------------------
@@ -102,19 +93,11 @@ class JobSpec:
             raise InvalidJob("job payload must be a JSON object")
         known = {
             "protocol", "k", "d", "domain", "source", "schedule",
-            "options", "backend", "tenant",
+            "options", "tenant",
         }
         unknown = sorted(set(payload) - known)
         if unknown:
             raise InvalidJob(f"unknown job fields: {unknown}")
-
-        backend = str(payload.get("backend", "heuristic"))
-        if backend not in SUPPORTED_BACKENDS:
-            raise InvalidJob(
-                f"unsupported backend {backend!r}; supported: "
-                f"{list(SUPPORTED_BACKENDS)} (the complete SMT backend is "
-                f"planned behind the same field)"
-            )
 
         source = payload.get("source")
         protocol = payload.get("protocol")
@@ -178,7 +161,6 @@ class JobSpec:
             source=source,
             schedule=schedule,
             options=dict(options) if options else None,
-            backend=backend,
             tenant=tenant,
         )
 
@@ -223,7 +205,6 @@ class JobSpec:
             "source_bytes": len(self.source) if self.source else None,
             "schedule": list(self.schedule) if self.schedule else None,
             "options": self.options,
-            "backend": self.backend,
             "tenant": self.tenant,
         }
 

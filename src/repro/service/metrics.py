@@ -50,3 +50,16 @@ class ServiceMetrics:
         for name, value in self.snapshot().items():
             summary.counters[name] = summary.counters.get(name, 0) + value
         return render_report(summary)
+
+
+class ServiceTracer:
+    """The tracer for work the service does itself inside a job (the store
+    lookup): spans and events go to the job's trace, counters to
+    :class:`ServiceMetrics`.  The human ``/metrics`` report folds the job
+    traces and the service counters together, so a counter kept in both
+    would be counted twice."""
+
+    def __init__(self, tracer, metrics: ServiceMetrics):
+        self.span = tracer.span
+        self.event = tracer.event
+        self.count = metrics.inc

@@ -12,10 +12,12 @@ fleet.  The flow per job:
    and starts each under an ``asyncio.Semaphore(max_concurrent)``, so the
    fleet runs at a bounded width while everything else waits queued;
 3. **consult the store** — the job's protocol is built once and the
-   content-addressed store is swept; a stored success whose convergence
-   certificate re-checks independently answers the job in milliseconds
-   (``service.cache_hits``), a tampered entry is quarantined and falls
-   through (``service.store_quarantined``);
+   content-addressed store (:class:`~repro.parallel.cache.SynthesisCache`)
+   is swept; a stored success that :func:`repro.cert.trust_outcome`
+   re-trusts (its convergence certificate re-checks independently) answers
+   the job in milliseconds (``service.cache_hits``), an untrusted entry is
+   quarantined and falls through (``service.store_quarantined``,
+   ``cert.check_fail``);
 4. **race** — on a miss, ``synthesize_parallel`` runs in an executor
    thread (the race itself is process/TCP-parallel; the loop thread only
    blocks on admission) against local slots or the configured remote
@@ -44,10 +46,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 from ..core.exceptions import PortfolioError
 from ..faults import runtime as fault_runtime
+from ..parallel.cache import SynthesisCache, protocol_fingerprint
+from ..parallel.pool import ParallelOutcome
 from ..trace.tracer import Tracer
 from .jobs import InvalidJob, Job, JobQueue, JobRegistry, JobSpec
-from .metrics import ServiceMetrics
-from .store import ResultStore
+from .metrics import ServiceMetrics, ServiceTracer
 
 
 class ServiceRejected(Exception):
@@ -77,7 +80,7 @@ class Orchestrator:
         self.data_dir = os.fspath(data_dir)
         self.jobs_dir = os.path.join(self.data_dir, "jobs")
         os.makedirs(self.jobs_dir, exist_ok=True)
-        self.store = ResultStore(os.path.join(self.data_dir, "store"))
+        self.store_dir = os.path.join(self.data_dir, "store")
         self.registry = JobRegistry()
         self.queue = JobQueue(max_queued=max_queued)
         self.metrics = metrics if metrics is not None else ServiceMetrics()
@@ -224,7 +227,7 @@ class Orchestrator:
         spec = job.spec
         tracer = job.tracer if job.tracer is not None else Tracer(None)
         try:
-            tracer.event("job.start", backend=spec.backend)
+            tracer.event("job.start")
             builder, builder_args = spec.builder_spec()
             protocol, invariant = builder(*builder_args)
             configs = spec.configs(protocol.n_processes)
@@ -235,22 +238,15 @@ class Orchestrator:
                 transport="tcp" if self.worker_endpoints else "local",
             )
 
-            answer = self.store.lookup(
-                protocol, invariant, configs, tracer=tracer
-            )
-            if self.store.quarantined:
-                self.metrics.inc(
-                    "service.store_quarantined", self.store.quarantined
-                )
-                self.store.quarantined = 0
-            if answer is not None:
+            hit = self._stored_success(protocol, invariant, configs, tracer)
+            if hit is not None:
                 # counters live in ServiceMetrics only: /metrics folds the
                 # snapshot into the job traces, so emitting them into the
                 # trace as well would double-count
                 self.metrics.inc("service.cache_hits")
                 job.cache_hit = True
-                job.cert_verified = answer.cert_verified
-                self._finish(job, answer.outcome, tracer, cached=True)
+                job.cert_verified = hit.certificate is not None
+                self._finish(job, hit, tracer, cached=True)
                 return
 
             self.metrics.inc("service.synth_runs")
@@ -265,7 +261,7 @@ class Orchestrator:
                     configs=configs,
                     n_workers=self.n_workers,
                     trace_dir=race_dir,
-                    cache_dir=self.store.store_dir,
+                    cache_dir=self.store_dir,
                     soft_deadline=self.soft_deadline,
                     worker_endpoints=self.worker_endpoints or None,
                     lease_timeout=self.lease_timeout,
@@ -297,6 +293,36 @@ class Orchestrator:
             tracer.event("job.failed", error=job.error)
         finally:
             tracer.close()
+
+    def _stored_success(
+        self, protocol, invariant, configs, tracer
+    ) -> ParallelOutcome | None:
+        """The first stored success across the job's portfolio that the
+        store still trusts.  The lookup is never paranoid, so an entry with
+        a certificate is trusted through it (``job.cert_verified``).
+
+        A stored failure is no answer for the service (another schedule
+        might succeed), so only a success short-circuits the fleet.  The
+        store quarantines an untrusted success and the scan continues.
+        """
+        # one store view per job: its quarantine tally is then this job's
+        # alone, although executor threads run lookups concurrently
+        store = SynthesisCache(self.store_dir)
+        fingerprint = protocol_fingerprint(protocol, invariant)
+        lookup = ServiceTracer(tracer, self.metrics)
+        try:
+            for config in configs:
+                hit = store.get(
+                    fingerprint, config, protocol, invariant, tracer=lookup
+                )
+                if hit is not None and hit.success:
+                    return hit
+            return None
+        finally:
+            if store.quarantined:
+                self.metrics.inc(
+                    "service.store_quarantined", store.quarantined
+                )
 
     def _finish(self, job: Job, outcome, tracer, *, cached: bool) -> None:
         """Write artifacts and settle the terminal state."""

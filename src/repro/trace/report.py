@@ -182,7 +182,7 @@ def render_report(summary: TraceSummary) -> str:
             portfolio_counters.get("portfolio.retries", 0),
         )
         portfolio.add(
-            "resume skips (journal)",
+            "resume skips",
             portfolio_counters.get("portfolio.resume_skips", 0),
         )
         portfolio.add(

@@ -1,4 +1,4 @@
-"""Certificate-backed trust paths: cache, journal, fault drills, CLI."""
+"""Certificate-backed trust paths: cache, resume, fault drills, CLI."""
 
 import json
 import os
@@ -63,11 +63,14 @@ class TestPortfolioTrustPath:
         synthesize_parallel(
             token_ring, (3, 3), n_workers=2, cache_dir=cache_dir
         )
-        journal = cache_dir / "portfolio_state.jsonl"
         records = [
-            json.loads(line) for line in journal.read_text().splitlines()
+            json.loads(path.read_text())
+            for path in cache_dir.glob("*.json")
+            if path.name != "costs.json"
         ]
-        assert any(r.get("certificate") for r in records)
+        assert any(
+            r["status"] == "done" and r.get("certificate") for r in records
+        )
         trace_dir = tmp_path / "trace"
         winner, completed = synthesize_parallel(
             token_ring, (3, 3), n_workers=2, cache_dir=cache_dir,

@@ -4,10 +4,11 @@ Every failure mode is injected deterministically through
 :class:`repro.faults.FaultPlan` rather than waiting for production to
 produce it: a worker that ``os._exit(1)``\\ s mid-run, a worker that ignores
 its ``CancelToken`` until the watchdog kills it, a truncated cache JSON
-that gets quarantined, and a ``--resume`` run that replays journaled
-configs instead of re-running them.
+that gets quarantined, and a ``--resume`` run that replays stored
+outcomes instead of re-running them.
 """
 
+import dataclasses
 import json
 import os
 
@@ -19,13 +20,12 @@ from repro.core.synthesizer import SynthesisConfig, default_portfolio
 from repro.faults import runtime as fault_runtime
 from repro.faults.runtime import FAULT_PLAN_ENV, FaultPlan, _spec_matches
 from repro.parallel import (
-    PortfolioJournal,
     SynthesisCache,
     config_key,
     protocol_fingerprint,
     synthesize_parallel,
 )
-from repro.parallel.journal import JOURNAL_SCHEMA
+from repro.parallel.cache import CACHE_SCHEMA
 from repro.parallel.pool import ParallelOutcome, _pick_best
 from repro.parallel.scheduler import CostModel
 from repro.protocols import token_ring
@@ -376,24 +376,60 @@ class TestCacheHardening:
         assert reloaded.estimate("fp", CFG_B) == pytest.approx(2.0)
 
 
-class TestJournalAndResume:
-    def test_journal_round_trip_and_bad_lines(self, tmp_path):
-        journal = PortfolioJournal(tmp_path / "portfolio_state.jsonl")
-        journal.append("k1", {"success": True})
-        journal.append("k2", {"success": False, "crashed": True})
-        with open(journal.path, "a") as handle:
-            handle.write('{"schema": %d, "key": "k3", "succ' % JOURNAL_SCHEMA)
-        entries = journal.load()  # truncated final line skipped, not fatal
-        assert set(entries) == {"k1", "k2"}
-        assert entries["k1"]["success"] is True
-        journal.reset()
-        assert journal.load() == {}
+def _entry(cache_dir, config):
+    """The stored cache record for one token_ring(4, 3) config."""
+    fp = protocol_fingerprint(*token_ring(4, 3))
+    with open(os.path.join(cache_dir, config_key(fp, config) + ".json")) as fh:
+        return json.load(fh)
 
-    def test_wrong_schema_lines_ignored(self, tmp_path):
-        journal = PortfolioJournal(tmp_path / "portfolio_state.jsonl")
-        with open(journal.path, "w") as handle:
-            handle.write('{"schema": 999, "key": "old", "success": true}\n')
-        assert journal.load() == {}
+
+class TestJournalAndResume:
+    def test_cache_entry_round_trip_and_bad_entries(self, tmp_path):
+        protocol, invariant = token_ring(4, 3)
+        fp = protocol_fingerprint(protocol, invariant)
+        cache = SynthesisCache(tmp_path)
+        failed = ParallelOutcome(
+            config=CFG_A, success=False, pss_groups=None,
+            remaining_deadlocks=3, timers={}, duration=0.5,
+        )
+        crashed = ParallelOutcome(
+            config=CFG_B, success=False, pss_groups=None,
+            remaining_deadlocks=-1, timers={}, crashed=True, retries=2,
+        )
+        assert cache.put(fp, failed) and cache.put(fp, crashed)
+        assert _entry(tmp_path, CFG_A)["status"] == "done"
+        assert _entry(tmp_path, CFG_B)["status"] == "crashed"
+        # a late crash marker never replaces a stored answer
+        late = dataclasses.replace(crashed, config=CFG_A)
+        assert cache.put(fp, late) is None
+        assert _entry(tmp_path, CFG_A)["status"] == "done"
+
+        hit = cache.get(fp, CFG_A, protocol, invariant)
+        assert hit.cached and hit.remaining_deadlocks == 3
+        assert hit.duration == 0.5
+        # a crashed-out entry answers only a resume
+        assert cache.get(fp, CFG_B, protocol, invariant) is None
+        replayed = cache.get(fp, CFG_B, protocol, invariant, resume=True)
+        assert replayed.resumed and not replayed.cached
+        assert replayed.crashed and replayed.retries == 2
+
+        # a truncated entry (a kill mid-write) is quarantined, not fatal
+        path = os.path.join(tmp_path, config_key(fp, CFG_A) + ".json")
+        with open(path, "w") as handle:
+            handle.write('{"schema": %d, "status": "done", "succ' % CACHE_SCHEMA)
+        assert cache.get(fp, CFG_A, protocol, invariant, resume=True) is None
+        assert os.path.exists(path + ".corrupt") and not os.path.exists(path)
+
+    def test_wrong_schema_entry_is_a_miss(self, tmp_path):
+        protocol, invariant = token_ring(4, 3)
+        fp = protocol_fingerprint(protocol, invariant)
+        path = os.path.join(tmp_path, config_key(fp, CFG_A) + ".json")
+        with open(path, "w") as handle:
+            json.dump({"schema": 999, "status": "done", "success": False}, handle)
+        cache = SynthesisCache(tmp_path)
+        assert cache.get(fp, CFG_A, protocol, invariant, resume=True) is None
+        # staleness, not corruption: the entry stays where it is
+        assert os.path.exists(path) and cache.quarantined == 0
 
     def test_resume_skips_journaled_configs(self, tmp_path):
         """A sweep killed partway (simulated: run only half the portfolio)
@@ -408,7 +444,8 @@ class TestJournalAndResume:
             cache_dir=tmp_path,
         )
         assert not first.success and len(done) == 2
-        assert len(PortfolioJournal.in_dir(tmp_path).load()) == 2
+        assert len(SynthesisCache(tmp_path)) == 2
+        assert all(_entry(tmp_path, c)["status"] == "done" for c in all_configs[:2])
 
         winner, completed = synthesize_parallel(
             token_ring, (4, 3), configs=all_configs, n_workers=2,
@@ -418,13 +455,13 @@ class TestJournalAndResume:
         assert sum(1 for o in completed if o.resumed) == 2
         counters = _counters(tmp_path / "traces")
         assert counters.get("portfolio.resume_skips", 0) == 2
-        # best failure aggregates journaled and fresh outcomes alike
+        # best failure aggregates resumed and fresh outcomes alike
         assert winner.remaining_deadlocks == min(
             o.remaining_deadlocks for o in completed
         )
 
     def test_resume_skips_crashed_out_config(self, tmp_path):
-        """A config that exhausted its retries is journaled as crashed and is
+        """A config that exhausted its retries is stored as crashed and is
         NOT re-run on resume (it would only crash again)."""
         plan = FaultPlan(
             crash_worker_at="worker.start@schedule=(1, 2, 3, 0)", max_fires=99
@@ -435,6 +472,7 @@ class TestJournalAndResume:
             cache_dir=tmp_path,
         )
         assert first.crashed and first.retries == 1
+        assert _entry(tmp_path, CFG_A)["status"] == "crashed"
         resumed, completed = synthesize_parallel(
             token_ring, (4, 3), configs=[CFG_A], n_workers=1,
             fault_plan=plan, max_retries=1, cache_dir=tmp_path,
@@ -445,17 +483,25 @@ class TestJournalAndResume:
         assert counters.get("portfolio.worker_crashes", 0) == 0  # no re-run
         assert counters.get("portfolio.resume_skips", 0) == 1
 
-    def test_fresh_run_resets_stale_journal(self, tmp_path):
-        """Without resume=True, a new race truncates the journal instead of
-        letting a previous sweep's entries leak into this one."""
-        journal = PortfolioJournal.in_dir(tmp_path)
-        journal.append("stale-key", {"success": True})
+    def test_fresh_run_reruns_crashed_entry(self, tmp_path):
+        """Without resume=True, a crashed-out entry from an earlier sweep is
+        not replayed: the config re-runs and its entry becomes ``done``."""
+        plan = FaultPlan(
+            crash_worker_at="worker.start@schedule=(1, 2, 3, 0)", max_fires=99
+        )
+        first, _ = synthesize_parallel(
+            token_ring, (4, 3), configs=[CFG_A], n_workers=1,
+            fault_plan=plan, max_retries=0, cache_dir=tmp_path,
+        )
+        assert first.crashed
+        assert _entry(tmp_path, CFG_A)["status"] == "crashed"
         winner, _ = synthesize_parallel(
             token_ring, (4, 3), configs=[CFG_A], n_workers=1,
-            cache_dir=tmp_path,
+            cache_dir=tmp_path, trace_dir=tmp_path / "traces",
         )
-        assert winner.success
-        assert "stale-key" not in journal.load()
+        assert winner.success and not winner.cached and not winner.resumed
+        assert _counters(tmp_path / "traces").get("portfolio.cache_misses") == 1
+        assert _entry(tmp_path, CFG_A)["status"] == "done"
 
     def test_resume_requires_cache_dir(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,9 @@ answer).
 """
 
 import json
+import multiprocessing
 import os
+import threading
 import time
 
 import pytest
@@ -335,3 +337,56 @@ class TestSpawnFallback:
             synthesize_parallel(
                 token_ring, (4, 3), n_workers=1, start_method="no-such-method"
             )
+
+
+class TestConcurrentRaces:
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="fork start method unavailable",
+    )
+    def test_concurrent_races_fork_their_own_precompute(self, monkeypatch):
+        """Two races in one process (``stsyn serve`` runs several at once)
+        must each fork workers on their own precompute.  Each race's first
+        spawn waits at a barrier, so both races have built their
+        precompute before either forks."""
+        from repro.parallel import LocalProcessTransport
+
+        barrier = threading.Barrier(2, timeout=60)
+        original = LocalProcessTransport.spawn
+        waited, lock = set(), threading.Lock()
+
+        def spawn(self):
+            with lock:
+                first = id(self) not in waited
+                waited.add(id(self))
+            if first:
+                barrier.wait()
+            return original(self)
+
+        monkeypatch.setattr(LocalProcessTransport, "spawn", spawn)
+        pinned = {
+            3: SynthesisConfig((0, 1, 2), HeuristicOptions()),
+            4: SynthesisConfig((1, 2, 3, 0), HeuristicOptions()),
+        }
+        results, errors = {}, []
+
+        def race(k):
+            try:
+                results[k], _ = synthesize_parallel(
+                    token_ring, (k, 3), configs=[pinned[k]], n_workers=1,
+                    start_method="fork",
+                )
+            except Exception as exc:  # surfaced by the asserts below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=race, args=(k,)) for k in pinned]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not errors, errors
+        for k, winner in results.items():
+            assert winner.success and winner.config == pinned[k]
+            protocol, invariant = token_ring(k, 3)
+            rebuilt = protocol.with_groups(winner.pss_groups)
+            assert check_solution(protocol, rebuilt, invariant).ok

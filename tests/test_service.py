@@ -158,10 +158,11 @@ class TestJobSpec:
     def test_rejects_unknown_fields_and_backends(self):
         with pytest.raises(InvalidJob, match="unknown job fields"):
             JobSpec.from_payload({"protocol": "matching", "bogus": 1})
-        with pytest.raises(InvalidJob, match="unsupported backend"):
-            JobSpec.from_payload({"protocol": "matching", "backend": "smt"})
-        # the heuristic backend is the documented default
-        assert JobSpec.from_payload({"protocol": "matching"}).backend == "heuristic"
+        # there is one synthesis backend, so "backend" is no field at all
+        with pytest.raises(InvalidJob, match=r"unknown job fields: \['backend'\]"):
+            JobSpec.from_payload({"protocol": "matching", "backend": "heuristic"})
+        spec = JobSpec.from_payload({"protocol": "matching"})
+        assert "backend" not in spec.to_payload()
 
     def test_requires_source_or_protocol(self):
         with pytest.raises(InvalidJob, match="source.*protocol|protocol.*source"):
@@ -444,6 +445,10 @@ class TestResultStore:
             assert final["cache_hit"] is False
             assert handle.metrics.get("service.store_quarantined") >= 1
             assert handle.metrics.get("service.synth_runs") == 2
+            # the lookup trusts through the same repro.cert function as the
+            # portfolio, so its refusal lands in the service's cert counters
+            _s, metrics = request_json(handle.port, "GET", "/metrics?format=json")
+            assert metrics["counters"].get("cert.check_fail", 0) >= 1
             corrupt = [
                 n for n in os.listdir(store_dir) if n.endswith(".corrupt")
             ]
@@ -462,7 +467,7 @@ class TestServiceRobustness:
             # JSON but not an object
             status, _ = request(port, "POST", "/jobs", body=b"[1, 2, 3]")
             assert status == 400
-            # unknown protocol / bad backend → InvalidJob → 400
+            # unknown protocol / unknown field → InvalidJob → 400
             status, body = request_json(
                 port, "POST", "/jobs", {"protocol": "bogus"}
             )

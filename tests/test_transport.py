@@ -30,7 +30,6 @@ from repro.core.heuristic import HeuristicOptions
 from repro.core.synthesizer import SynthesisConfig
 from repro.faults.runtime import FaultPlan, heal_partition
 from repro.parallel import (
-    PortfolioJournal,
     StoreClaim,
     SynthesisCache,
     WorkerServer,
@@ -480,7 +479,7 @@ class TestSharedStoreResume:
         self, tmp_path
     ):
         """Resume after a mid-race kill against a populated shared store:
-        the journaled winner is re-trusted only through its certificate
+        the stored winner is re-trusted only through its certificate
         check, stale claims from the dead coordinator are released, and
         partial writes are quarantined."""
         winner, _ = synthesize_parallel(
@@ -488,12 +487,12 @@ class TestSharedStoreResume:
             cache_dir=tmp_path,
         )
         assert winner.success and winner.certificate is not None
-        # journal and content-addressed store agree on the settled config
+        # the content-addressed store holds the settled config
         protocol, invariant = token_ring(4, 3)
         fp = protocol_fingerprint(protocol, invariant)
         key = config_key(fp, CFG_A)
-        assert key in PortfolioJournal.in_dir(tmp_path).load()
-        assert (tmp_path / f"{key}.json").exists()
+        entry = json.loads((tmp_path / f"{key}.json").read_text())
+        assert entry["status"] == "done" and entry["certificate"]
         # litter the store the way a SIGKILLed coordinator would
         old = time.time() - 3600
         partial = tmp_path / "deadbeef.json.tmp.deadhost.1.ab"
@@ -517,7 +516,7 @@ class TestSharedStoreResume:
         assert (tmp_path / (partial.name + ".corrupt")).exists()
 
     def test_cluster_resume_runs_remaining_configs_remotely(self, tmp_path):
-        """A killed sweep's journal replays locally-settled failures while
+        """A killed sweep's store replays locally-settled failures while
         the unfinished configs race on the remote workers."""
         first, _ = synthesize_parallel(
             token_ring, (4, 3), configs=[CFG_FAIL], n_workers=1,
