@@ -29,6 +29,7 @@ from .core import (
     NoStabilizingVersionError,
     NotClosedError,
     RankingResult,
+    SoundnessError,
     SynthesisError,
     SynthesisResult,
     UnresolvableCycleError,
@@ -84,6 +85,7 @@ __all__ = [
     "Protocol",
     "PortfolioResult",
     "RankingResult",
+    "SoundnessError",
     "StateSpace",
     "SynthesisError",
     "SynthesisResult",

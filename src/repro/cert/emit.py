@@ -15,8 +15,10 @@ local property the checker re-verifies.  Weak mode uses the shortest-path
 (BFS) rank of ``pss`` itself: every ranked state keeps at least one
 decreasing successor.
 
-The symbolic emitter computes the same longest-path levels by backward
-induction (peel off the states whose successors have all been ranked), so
+The explicit emitter computes the longest-path rank with one
+reverse-topological (Kahn) peel over flat edge arrays, O(E): peel off the
+states whose successors have all been ranked, level by level.  The
+symbolic emitter peels the same levels by backward induction on BDDs, so
 an explicit-emitted and a symbolic-emitted certificate for the same ``pss``
 decode to identical dense rank arrays — the cross-engine tests assert this.
 """
@@ -27,7 +29,7 @@ from itertools import product
 
 import numpy as np
 
-from ..explicit.graph import TransitionView
+from ..explicit.graph import TransitionView, bfs_layers
 from ..parallel.cache import protocol_fingerprint
 from ..protocol.predicate import Predicate
 from ..protocol.protocol import Protocol
@@ -49,36 +51,47 @@ class CertificateEmissionError(CertificateError):
 def longest_path_ranks(pss: Protocol, invariant: Predicate) -> np.ndarray:
     """Longest-path rank of every state over ``δpss`` sources outside ``I``.
 
-    Fixpoint of ``rank(s) = 1 + max rank(successors)`` with ``rank|I = 0``,
-    iterated with a vectorised ``np.maximum.at`` scatter.  Raises
-    :class:`CertificateEmissionError` on a cycle (no fixpoint within
-    ``|S|`` rounds) or a deadlock (a state outside ``I`` with rank 0, i.e.
-    no outgoing transition).
+    ``rank(s) = 1 + max rank(successors)`` with ``rank|I = 0``, computed by
+    one reverse-topological (Kahn) peel in O(E): the states without a
+    successor outside the dropped ``I``-sourced edges form layer 0, and a
+    state joins layer ``k + 1`` once its last successor is peeled in layer
+    ``k``.  Raises :class:`CertificateEmissionError` on a cycle (states left
+    unpeeled) or a deadlock (a state outside ``I`` with no outgoing
+    transition).
     """
     size = pss.space.size
     inside = invariant.mask
-    view = TransitionView.of_protocol(pss)
-    src, dst = view.edge_arrays()
+    src, dst = TransitionView.of_protocol(pss).edge_arrays()
     keep = ~inside[src]
     src, dst = src[keep], dst[keep]
 
-    rank = np.zeros(size, dtype=np.int64)
-    converged = False
-    for _ in range(size + 1):
-        cand = np.zeros(size, dtype=np.int64)
-        if len(src):
-            np.maximum.at(cand, src, rank[dst] + 1)
-        cand[inside] = 0
-        if np.array_equal(cand, rank):
-            converged = True
-            break
-        rank = cand
-    if not converged:
-        # a state still climbing after |S| rounds sits on a cycle outside I
-        still = np.flatnonzero(cand != rank)
+    # unpeeled successors per state (edges counted with multiplicity), and
+    # the predecessor lists grouped by target: those of t are
+    # preds[ptr[t]:ptr[t + 1]]
+    waiting = np.bincount(src, minlength=size)
+    preds = src[np.argsort(dst, kind="stable")]
+    ptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dst, minlength=size), out=ptr[1:])
+
+    rank = np.zeros(size, dtype=np.int32)
+    layer = np.flatnonzero(waiting == 0)
+    level = 0
+    while len(layer):
+        starts = ptr[layer]
+        counts = ptr[layer + 1] - starts
+        ends = np.cumsum(counts)
+        edge = np.repeat(starts - ends + counts, counts) + np.arange(ends[-1])
+        cand, hits = np.unique(preds[edge], return_counts=True)
+        waiting[cand] -= hits
+        layer = cand[waiting[cand] == 0]
+        level += 1
+        rank[layer] = level
+    unpeeled = waiting > 0
+    if unpeeled.any():
+        s = int(np.flatnonzero(unpeeled)[0])
         raise CertificateEmissionError(
             f"pss has a non-progress cycle outside I through "
-            f"{pss.space.format_state(int(still[0]))}; no strong ranking exists"
+            f"{pss.space.format_state(s)}; no strong ranking exists"
         )
     stuck = ~inside & (rank == 0)
     if stuck.any():
@@ -87,7 +100,7 @@ def longest_path_ranks(pss: Protocol, invariant: Predicate) -> np.ndarray:
             f"pss deadlocks outside I at {pss.space.format_state(s)}; "
             f"no strong ranking exists"
         )
-    return rank.astype(np.int32)
+    return rank
 
 
 def shortest_path_ranks(pss: Protocol, invariant: Predicate) -> np.ndarray:
@@ -96,28 +109,12 @@ def shortest_path_ranks(pss: Protocol, invariant: Predicate) -> np.ndarray:
     Raises :class:`CertificateEmissionError` when some state cannot reach
     ``I`` at all — then ``pss`` is not even weakly converging.
     """
-    size = pss.space.size
-    view = TransitionView.of_protocol(pss)
-    src, dst = view.edge_arrays()
-
-    rank = np.full(size, -1, dtype=np.int32)
+    src, dst = TransitionView.of_protocol(pss).edge_arrays()
+    rank = np.full(pss.space.size, -1, dtype=np.int32)
     rank[invariant.mask] = 0
     reached = invariant.mask.copy()
-    frontier = reached.copy()
-    level = 0
-    while True:
-        sel = frontier[dst] & ~reached[src]
-        hits = src[sel]
-        new = np.zeros(size, dtype=bool)
-        if len(hits):
-            new[hits] = True
-        new &= ~reached
-        if not new.any():
-            break
-        level += 1
-        rank[new] = level
-        reached |= new
-        frontier = new
+    for level, layer in enumerate(bfs_layers(dst, src, reached), start=1):
+        rank[layer] = level
     if not reached.all():
         s = int(np.flatnonzero(~reached)[0])
         raise CertificateEmissionError(

@@ -17,6 +17,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -68,12 +69,16 @@ def _make_tracer(args, command: str = "synthesize"):
     path = getattr(args, "trace", None)
     if not path:
         return NULL_TRACER
-    return Tracer(
-        path,
-        command=command,
-        protocol=getattr(args, "protocol", None),
-        engine=getattr(args, "engine", None),
-    )
+    try:
+        return Tracer(
+            path,
+            command=command,
+            protocol=getattr(args, "protocol", None),
+            engine=getattr(args, "engine", None),
+        )
+    except OSError as exc:
+        print(f"stsyn: cannot write trace {path}: {exc.strerror}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _cmd_synthesize(args) -> int:
@@ -189,7 +194,6 @@ def _synthesize_portfolio(args) -> int:
     servers instead of local processes (lease-based failure detection,
     degrading to local slots when remotes are lost).
     """
-    import os
 
     from .parallel import synthesize_parallel
 
@@ -315,8 +319,6 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_trace_report(args) -> int:
-    import os
-
     from .trace import trace_report
 
     if args.follow:
@@ -480,9 +482,14 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    from .fuzz import GeneratorConfig, run_fuzz
+    from .fuzz import GeneratorConfig, resolve_oracles, run_fuzz
     from .trace import use_tracer
 
+    try:
+        resolve_oracles(args.oracle)
+    except ValueError as exc:
+        print(f"stsyn: {exc}", file=sys.stderr)
+        return 2
     overrides = {}
     if args.max_processes is not None:
         overrides["max_processes"] = args.max_processes
@@ -813,8 +820,9 @@ def make_parser() -> argparse.ArgumentParser:
         action="append",
         default=None,
         metavar="NAME",
-        help="oracle to run (repeatable); names, 'default' (all in-process "
-        "oracles) or 'all' (adds the multi-process 'portfolio' oracle)",
+        help="oracle to run (repeatable or comma-separated); names, 'default' "
+        "(all in-process oracles) or 'all' (adds the multi-process "
+        "'portfolio' oracle)",
     )
     p_fuzz.add_argument(
         "--minimize",
@@ -855,7 +863,16 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (``stsyn ... | head``): send the rest of the
+        # output to devnull so the interpreter's final flush cannot fail too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

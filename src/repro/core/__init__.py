@@ -10,6 +10,7 @@ from .exceptions import (
     HeuristicFailure,
     NoStabilizingVersionError,
     NotClosedError,
+    SoundnessError,
     SynthesisError,
     UnresolvableCycleError,
 )
@@ -46,6 +47,7 @@ __all__ = [
     "RepairReport",
     "Schedule",
     "SynthesisConfig",
+    "SoundnessError",
     "SynthesisError",
     "SynthesisResult",
     "SynthesisState",

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from ..explicit.graph import TransitionView
-from ..explicit.scc import cyclic_sccs_after_addition
+from ..explicit.scc import scc_labels_after_addition
 from ..metrics.stats import SynthesisStats
 from ..protocol.groups import GroupId
 from ..protocol.predicate import Predicate
@@ -65,8 +65,19 @@ class SynthesisState:
     out_counts: np.ndarray = field(init=False)
     #: per process: rcodes whose cylinder intersects I (constraint C1 cache)
     rcode_touches_i: list[np.ndarray] = field(init=False)
+    not_i: np.ndarray = field(init=False)
+    #: flat ``(src, dst)`` of ``pss | ¬I`` — built on first use, extended
+    #: by ``commit_group`` through ``_pending`` chunks, dropped by
+    #: ``remove_group``
+    _pss_edges: tuple[np.ndarray, np.ndarray] | None = field(
+        init=False, default=None
+    )
+    _pending: list[tuple[np.ndarray, np.ndarray]] = field(
+        init=False, default_factory=list
+    )
 
     def __post_init__(self) -> None:
+        self.not_i = ~self.invariant.mask
         self.pss_groups = [set(g) for g in self.protocol.groups]
         self.added_groups = [set() for _ in self.protocol.groups]
         self.removed_groups = [set() for _ in self.protocol.groups]
@@ -89,10 +100,6 @@ class SynthesisState:
     def space(self):
         return self.protocol.space
 
-    @property
-    def not_i(self) -> np.ndarray:
-        return ~self.invariant.mask
-
     def deadlock_mask(self) -> np.ndarray:
         """Deadlock states: no outgoing transition and outside I (Prop. II.1)."""
         return (self.out_counts == 0) & self.not_i
@@ -105,6 +112,26 @@ class SynthesisState:
             self.protocol.tables, self.pss_groups, extra
         )
 
+    def pss_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat ``(src, dst)`` arrays of ``pss | ¬I``.
+
+        Groups committed since the last read arrive as pending chunks and
+        are concatenated once here, not once per commit.
+        """
+        if self._pss_edges is None:
+            self._pss_edges = self.pss_view().edge_arrays(self.not_i)
+        elif self._pending:
+            src = np.concatenate([c[0] for c in self._pending])
+            dst = np.concatenate([c[1] for c in self._pending])
+            keep = self.not_i[src] & self.not_i[dst]
+            base_src, base_dst = self._pss_edges
+            self._pss_edges = (
+                np.concatenate([base_src, src[keep]]),
+                np.concatenate([base_dst, dst[keep]]),
+            )
+        self._pending.clear()
+        return self._pss_edges
+
     # ------------------------------------------------------------------
     def commit_group(self, j: int, rcode: int, wcode: int) -> None:
         table = self.protocol.tables[j]
@@ -112,6 +139,8 @@ class SynthesisState:
         self.pss_groups[j].add((rcode, wcode))
         self.added_groups[j].add((rcode, wcode))
         self.out_counts[src] += 1
+        if self._pss_edges is not None:
+            self._pending.append(table.pairs(rcode, wcode))
         self.stats.bump("groups_added")
 
     def remove_group(self, j: int, rcode: int, wcode: int) -> None:
@@ -121,6 +150,7 @@ class SynthesisState:
         self.pss_groups[j].discard((rcode, wcode))
         self.removed_groups[j].add((rcode, wcode))
         self.out_counts[src] -= 1
+        self._pss_edges = None
         self.stats.bump("groups_removed")
 
     def result_protocol(self, name: str | None = None) -> Protocol:
@@ -145,28 +175,24 @@ def identify_resolve_cycles(
     with state.stats.timer("scc"), state.stats.tracer.span(
         "identify_resolve_cycles", n_candidates=len(candidates)
     ) as span:
-        base = state.pss_view()
-        added = TransitionView(state.protocol.tables, candidates)
-        sccs = cyclic_sccs_after_addition(
-            base, added, state.space.size, state.not_i
+        add_src, add_dst, owner = TransitionView(
+            state.protocol.tables, candidates
+        ).indexed_edge_arrays(state.not_i)
+        labels, sizes = scc_labels_after_addition(
+            *state.pss_edges(), add_src, add_dst, state.space.size
         )
-        state.stats.record_sccs([len(c) for c in sccs])
-        span["n_sccs"] = len(sccs)
-        if sccs:
-            state.stats.bump("cycles_resolved", len(sccs))
-        if not sccs:
+        state.stats.record_sccs(sizes.tolist())
+        span["n_sccs"] = len(sizes)
+        if not len(sizes):
             return set()
-        in_scc_label = np.full(state.space.size, -1, dtype=np.int64)
-        for label, comp in enumerate(sccs):
-            in_scc_label[comp] = label
-        bad: set[GroupId] = set()
-        for gid, src, dst in added.pairs_with_ids():
-            keep = state.not_i[src] & state.not_i[dst]
-            l0 = in_scc_label[src[keep]]
-            l1 = in_scc_label[dst[keep]]
-            if bool(((l0 >= 0) & (l0 == l1)).any()):
-                bad.add(gid)
-                state.stats.bump("groups_rejected_cycles")
+        state.stats.bump("cycles_resolved", len(sizes))
+        l0, l1 = labels[add_src], labels[add_dst]
+        inside = np.bincount(
+            owner[(l0 >= 0) & (l0 == l1)], minlength=len(candidates)
+        )
+        bad = {candidates[i] for i in np.flatnonzero(inside)}
+        if bad:
+            state.stats.bump("groups_rejected_cycles", len(bad))
     return bad
 
 

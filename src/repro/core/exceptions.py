@@ -38,6 +38,21 @@ class UnresolvableCycleError(SynthesisError):
     heuristic exits (preprocessing step, Section V)."""
 
 
+class SoundnessError(SynthesisError):
+    """An internal consistency check failed: a bug, never an answer.
+
+    Raised when the independent model checker rejects a winner the
+    heuristic claimed (``check`` holds the
+    :class:`~repro.verify.SolutionCheck`), or when a state reported inside
+    a cyclic SCC has no successor in that SCC (``state`` holds it).
+    """
+
+    def __init__(self, message: str, *, check=None, state: int | None = None):
+        super().__init__(message)
+        self.check = check
+        self.state = state
+
+
 class SynthesisCancelled(SynthesisError):
     """The run observed its cancellation token at a pass/rank boundary.
 

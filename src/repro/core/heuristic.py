@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..explicit.scc import cyclic_sccs
+from ..explicit.scc import scc_labels
 from ..faults.runtime import fault_point
 from ..metrics.stats import SynthesisStats
 from ..protocol.predicate import Predicate
@@ -110,16 +110,13 @@ def find_input_cycle_offenders(state: SynthesisState) -> list[tuple[int, int, in
     the offender list to every worker.
     """
     with state.stats.timer("scc"):
-        view = state.pss_view()
-        sccs = cyclic_sccs(view, state.space.size, state.not_i)
-    if not sccs:
+        src, dst = state.pss_view().edge_arrays(state.not_i)
+        comp_id, sizes = scc_labels(src, dst, state.space.size)
+    if not len(sizes):
         return []
-    state.stats.record_sccs([len(c) for c in sccs])
+    state.stats.record_sccs(sizes.tolist())
     # a transition is on a cycle only when both endpoints are in the *same*
     # cyclic SCC — endpoints in two different SCCs merely connect them
-    comp_id = np.full(state.space.size, -1, dtype=np.int64)
-    for ci, comp in enumerate(sccs):
-        comp_id[comp] = ci
     offenders: list[tuple[int, int, int]] = []
     for j, gs in enumerate(list(state.pss_groups)):
         table = state.protocol.tables[j]

@@ -17,7 +17,7 @@ from ..metrics.stats import SynthesisStats
 from ..protocol.predicate import Predicate
 from ..protocol.protocol import Protocol
 from ..trace.tracer import NullTracer, Tracer
-from .exceptions import HeuristicFailure
+from .exceptions import HeuristicFailure, SoundnessError
 from .heuristic import HeuristicOptions, add_strong_convergence
 from .result import SynthesisResult
 from .schedules import Schedule, paper_default_schedule, rotation_schedules
@@ -145,10 +145,11 @@ def synthesize(
                 with stats.tracer.span("verify.check_solution"):
                     check = check_solution(protocol, result.protocol, invariant)
                 result.verified = check.ok
-                if not check.ok:  # pragma: no cover - soundness bug guard
-                    raise AssertionError(
+                if not check.ok:
+                    raise SoundnessError(
                         f"heuristic claimed success but verification failed: "
-                        f"{check} under {config.describe()}"
+                        f"{check} under {config.describe()}",
+                        check=check,
                     )
             remaining = (
                 0

@@ -1,7 +1,7 @@
-"""Explicit-state engine: vectorised reachability and SCC detection."""
+"""Explicit-state engine: flat edge arrays, reachability and SCC detection."""
 
 from .graph import TransitionView, backward_reachable, forward_reachable
-from .scc import cyclic_sccs, cyclic_sccs_after_addition, tarjan_sccs
+from .scc import cyclic_sccs, cyclic_sccs_after_addition
 
 __all__ = [
     "TransitionView",
@@ -9,5 +9,4 @@ __all__ = [
     "cyclic_sccs",
     "cyclic_sccs_after_addition",
     "forward_reachable",
-    "tarjan_sccs",
 ]

@@ -1,9 +1,10 @@
-"""Group-collection views for the explicit engine.
+"""Flat edge arrays and reachability for the explicit engine.
 
 Synthesis manipulates *collections of groups* rather than raw edge lists;
-a :class:`TransitionView` iterates the vectorised ``(src, dst)`` arrays of
-such a collection without materialising the full edge list (which for the
-larger sweeps would not fit comfortably in memory).
+a :class:`TransitionView` names such a collection and materialises it
+once as one flat ``(src, dst)`` pair of arrays.  Every traversal then
+runs on those flat arrays: a breadth-first search costs one gather per
+BFS level (:func:`bfs_layers`), however many groups the view holds.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from ..protocol.state_space import STATE_DTYPE
 
 
 class TransitionView:
-    """An iterable of ``(src, dst)`` arrays over a set of transition groups."""
+    """A set of transition groups, materialised as flat ``(src, dst)`` arrays."""
 
     def __init__(
         self,
@@ -69,19 +70,76 @@ class TransitionView:
         self, within: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Materialised edge list, optionally restricted to ``within`` endpoints."""
+        src, dst, _counts = self._concat(within)
+        return src, dst
+
+    def indexed_edge_arrays(
+        self, within: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`edge_arrays` plus ``owner``: edge ``e`` belongs to the
+        group ``group_ids[owner[e]]``."""
+        src, dst, counts = self._concat(within)
+        return src, dst, np.repeat(np.arange(len(counts)), counts)
+
+    def _concat(
+        self, within: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray, list[int]]:
         srcs: list[np.ndarray] = []
         dsts: list[np.ndarray] = []
         for src, dst in self.pairs():
             if within is not None:
                 keep = within[src] & within[dst]
                 src, dst = src[keep], dst[keep]
-            if len(src):
-                srcs.append(src)
-                dsts.append(dst)
+            srcs.append(src)
+            dsts.append(dst)
         if not srcs:
             empty = np.empty(0, dtype=STATE_DTYPE)
-            return empty, empty
-        return np.concatenate(srcs), np.concatenate(dsts)
+            return empty, empty, []
+        return np.concatenate(srcs), np.concatenate(dsts), [len(s) for s in srcs]
+
+
+def bfs_layers(
+    tails: np.ndarray, heads: np.ndarray, visited: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Level-synchronous BFS from the ``visited`` mask along the flat
+    ``tails -> heads`` edge arrays.
+
+    Yields each new layer's states (an index array, possibly with repeats)
+    and marks them in ``visited`` in place.  One gather per level; a
+    backward search passes the arrays swapped.
+    """
+    frontier = visited.copy()
+    previous = np.flatnonzero(frontier)
+    while len(previous):
+        hit = heads[frontier[tails]]
+        hit = hit[~visited[hit]]
+        if not len(hit):
+            return
+        visited[hit] = True
+        frontier[previous] = False
+        frontier[hit] = True
+        previous = hit
+        yield hit
+
+
+def reachable(tails: np.ndarray, heads: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """States reachable from the ``seeds`` mask (updated in place)."""
+    for _layer in bfs_layers(tails, heads, seeds):
+        pass
+    return seeds
+
+
+def _seed_mask(
+    start: np.ndarray, size: int, within: np.ndarray | None
+) -> np.ndarray:
+    if start.dtype == np.bool_:
+        seeds = start.copy()
+    else:
+        seeds = np.zeros(size, dtype=bool)
+        seeds[start] = True
+    if within is not None:
+        seeds &= within
+    return seeds
 
 
 def forward_reachable(
@@ -95,27 +153,8 @@ def forward_reachable(
     ``within`` restricts traversal to transitions with both endpoints inside
     the mask; start states outside ``within`` are dropped.
     """
-    visited = np.zeros(size, dtype=bool)
-    if start.dtype == np.bool_:
-        visited |= start
-    else:
-        visited[start] = True
-    if within is not None:
-        visited &= within
-    frontier = visited.copy()
-    while frontier.any():
-        new = np.zeros(size, dtype=bool)
-        for src, dst in view.pairs():
-            sel = frontier[src]
-            if within is not None:
-                sel &= within[dst]
-            hit = dst[sel]
-            if len(hit):
-                new[hit] = True
-        new &= ~visited
-        visited |= new
-        frontier = new
-    return visited
+    src, dst = view.edge_arrays(within)
+    return reachable(src, dst, _seed_mask(start, size, within))
 
 
 def backward_reachable(
@@ -125,24 +164,5 @@ def backward_reachable(
     within: np.ndarray | None = None,
 ) -> np.ndarray:
     """Boolean mask of states that can reach ``target`` (mask or index array)."""
-    visited = np.zeros(size, dtype=bool)
-    if target.dtype == np.bool_:
-        visited |= target
-    else:
-        visited[target] = True
-    if within is not None:
-        visited &= within
-    frontier = visited.copy()
-    while frontier.any():
-        new = np.zeros(size, dtype=bool)
-        for src, dst in view.pairs():
-            sel = frontier[dst]
-            if within is not None:
-                sel &= within[src]
-            hit = src[sel]
-            if len(hit):
-                new[hit] = True
-        new &= ~visited
-        visited |= new
-        frontier = new
-    return visited
+    src, dst = view.edge_arrays(within)
+    return reachable(dst, src, _seed_mask(target, size, within))

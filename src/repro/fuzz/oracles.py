@@ -15,7 +15,9 @@ Each oracle inspects one redundancy seam of the system and reports
                  same outcome, same pass, same synthesized group sets;
 ``cert``         every winner certified, the certificate accepted by the
                  independent checker on *both* engines, and the winner
-                 re-verified by ``check_solution``;
+                 re-verified by ``check_solution``; strong emission on the
+                 *input* protocol fails iff ``check_solution`` says it does
+                 not strongly converge (the cycle and deadlock branches);
 ``daemons``      synthesized strong winners must converge from every probed
                  state under random, round-robin and adversarial daemons
                  within ``|S|`` steps (acyclicity outside ``I`` bounds every
@@ -439,17 +441,36 @@ def oracle_engines(
 
 
 def oracle_cert(instance: FuzzInstance, ctx: OracleContext) -> list[Finding]:
-    """Certificate round-trip: emit, check on both engines, re-verify winner."""
+    """Certificate round-trip: emit, check on both engines, re-verify winner;
+    and emission on the input protocol agrees with ``check_solution``."""
     from ..cert import (
+        CertificateEmissionError,
         CertificateError,
         CertificateViolation,
         ConvergenceCertificate,
         check_certificate_symbolic,
+        longest_path_ranks,
         validate_certificate,
     )
 
     protocol, invariant = instance.protocol, instance.invariant
     findings = []
+    converges = check_solution(protocol, protocol, invariant).converges
+    try:
+        longest_path_ranks(protocol, invariant)
+        emitted = True
+    except CertificateEmissionError:
+        emitted = False
+    if emitted != converges:
+        outcome = "succeeded" if emitted else "failed"
+        findings.append(
+            _finding(
+                instance,
+                "cert",
+                f"strong emission on the input {outcome} but "
+                f"check_solution says converges={converges}",
+            )
+        )
     winners = []
     strong_kind, strong = _strong_explicit(instance)
     if strong_kind == "ok" and strong.success:
@@ -667,11 +688,12 @@ DEFAULT_ORACLES: tuple[str, ...] = (
 
 
 def resolve_oracles(names: Sequence[str] | None) -> list[str]:
-    """Expand CLI oracle selections (``default``, ``all``, or explicit)."""
+    """Expand CLI oracle selections (``default``, ``all``, or explicit);
+    an entry may list several names separated by commas."""
     if not names:
         return list(DEFAULT_ORACLES)
     out: list[str] = []
-    for name in names:
+    for name in (part for entry in names for part in entry.split(",")):
         if name == "default":
             out.extend(DEFAULT_ORACLES)
         elif name == "all":

@@ -9,12 +9,10 @@
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..explicit.graph import TransitionView, backward_reachable
+from ..explicit.graph import TransitionView, backward_reachable, bfs_layers
 from ..protocol.predicate import Predicate
 from ..protocol.protocol import Protocol
-from .cycles import nonprogress_sccs
+from .cycles import nonprogress_scc_labels
 from .deadlock import deadlock_states
 
 
@@ -53,7 +51,8 @@ def strongly_converges(
     """No deadlocks in ``¬I`` and no non-progress cycles (Proposition II.1)."""
     if deadlock_states(protocol, invariant, view=view):
         return False
-    return not nonprogress_sccs(protocol, invariant, view=view)
+    _labels, sizes = nonprogress_scc_labels(protocol, invariant, view=view)
+    return not len(sizes)
 
 
 def convergence_steps_bound(protocol: Protocol, invariant: Predicate) -> int:
@@ -62,21 +61,7 @@ def convergence_steps_bound(protocol: Protocol, invariant: Predicate) -> int:
     A cheap quantitative companion to the verdicts: the number of backward
     BFS levels needed to cover the space.
     """
-    view = TransitionView.of_protocol(protocol)
-    size = protocol.space.size
+    src, dst = TransitionView.of_protocol(protocol).edge_arrays()
     visited = invariant.mask.copy()
-    frontier = visited.copy()
-    level = 0
-    while frontier.any():
-        new = np.zeros(size, dtype=bool)
-        for src, dst in view.pairs():
-            hit = src[frontier[dst]]
-            if len(hit):
-                new[hit] = True
-        new &= ~visited
-        if not new.any():
-            break
-        level += 1
-        visited |= new
-        frontier = new
+    level = sum(1 for _layer in bfs_layers(dst, src, visited))
     return level if bool(visited.all()) else -1

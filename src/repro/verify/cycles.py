@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core.exceptions import SoundnessError
 from ..explicit.graph import TransitionView
-from ..explicit.scc import cyclic_sccs
+from ..explicit.scc import scc_labels, scc_members
 from ..protocol.predicate import Predicate
 from ..protocol.protocol import Protocol
 
@@ -26,13 +27,24 @@ def nonprogress_sccs(
 
     ``view`` lets callers share one prebuilt transition view across checks.
     """
+    return scc_members(*nonprogress_scc_labels(protocol, invariant, view=view))
+
+
+def nonprogress_scc_labels(
+    protocol: Protocol,
+    invariant: Predicate,
+    *,
+    view: TransitionView | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`nonprogress_sccs` as per-state labels (``-1``: none) and sizes."""
     if view is None:
         view = TransitionView.of_protocol(protocol)
-    return cyclic_sccs(view, protocol.space.size, ~invariant.mask)
+    src, dst = view.edge_arrays(~invariant.mask)
+    return scc_labels(src, dst, protocol.space.size)
 
 
 def has_nonprogress_cycles(protocol: Protocol, invariant: Predicate) -> bool:
-    return bool(nonprogress_sccs(protocol, invariant))
+    return bool(len(nonprogress_scc_labels(protocol, invariant)[1]))
 
 
 def extract_cycle(
@@ -59,8 +71,10 @@ def extract_cycle(
                 nxt, proc = target, j
                 break
         if nxt is None:
-            raise AssertionError(
-                "SCC member without an intra-SCC successor — SCC detection bug"
+            raise SoundnessError(
+                f"SCC member {protocol.space.format_state(state)} has no "
+                f"intra-SCC successor — SCC detection bug",
+                state=state,
             )
         path.append((state, proc))
         state = nxt

@@ -11,7 +11,7 @@ from ..protocol.predicate import Predicate
 from ..protocol.protocol import Protocol
 from .closure import is_closed
 from .convergence import strongly_converges, unrecoverable_states, weakly_converges
-from .cycles import nonprogress_sccs
+from .cycles import nonprogress_scc_labels
 from .deadlock import deadlock_states
 
 
@@ -60,8 +60,8 @@ def analyze_stabilization(
     view = TransitionView.of_protocol(protocol)
     closed = is_closed(protocol, invariant, view=view)
     deadlocks = deadlock_states(protocol, invariant, view=view).count()
-    sccs = nonprogress_sccs(protocol, invariant, view=view)
-    cycle_states = sum(len(c) for c in sccs)
+    _labels, sizes = nonprogress_scc_labels(protocol, invariant, view=view)
+    cycle_states = int(sizes.sum())
     unrecoverable = unrecoverable_states(protocol, invariant, view=view).count()
     return StabilizationVerdict(
         closed=closed,

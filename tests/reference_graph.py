@@ -1,0 +1,178 @@
+"""Reference graph algorithms for differential tests of ``repro.explicit``.
+
+Deliberately simple, independent implementations of what the explicit
+engine computes on flat edge arrays:
+
+* :func:`tarjan_sccs` — iterative Tarjan over a plain edge list;
+* :func:`forward_reachable` / :func:`backward_reachable` — level-by-level
+  BFS with one numpy call per group per level;
+* :func:`longest_path_ranks` — the ``rank(s) = 1 + max rank(successors)``
+  fixpoint iterated with an ``np.maximum.at`` scatter.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from repro.cert import CertificateEmissionError
+from repro.explicit.graph import TransitionView
+
+
+def tarjan_sccs(
+    edges: Sequence[tuple[int, int]], *, cyclic_only: bool = True
+) -> list[frozenset[int]]:
+    """Iterative Tarjan over a plain edge list.
+
+    Returns SCCs as frozensets; with ``cyclic_only`` drops singleton SCCs
+    that have no self-loop.
+    """
+    adj: dict[int, list[int]] = {}
+    self_loops: set[int] = set()
+    nodes: set[int] = set()
+    for s, t in edges:
+        adj.setdefault(s, []).append(t)
+        nodes.add(s)
+        nodes.add(t)
+        if s == t:
+            self_loops.add(s)
+
+    index: dict[int, int] = {}
+    lowlink: dict[int, int] = {}
+    on_stack: set[int] = set()
+    stack: list[int] = []
+    counter = 0
+    out: list[frozenset[int]] = []
+
+    for root in nodes:
+        if root in index:
+            continue
+        # Explicit DFS stack of (node, iterator position) to avoid recursion
+        # limits on large graphs.
+        work: list[tuple[int, int]] = [(root, 0)]
+        while work:
+            node, pos = work[-1]
+            if pos == 0:
+                index[node] = lowlink[node] = counter
+                counter += 1
+                stack.append(node)
+                on_stack.add(node)
+            neighbors = adj.get(node, [])
+            advanced = False
+            while pos < len(neighbors):
+                nxt = neighbors[pos]
+                pos += 1
+                if nxt not in index:
+                    work[-1] = (node, pos)
+                    work.append((nxt, 0))
+                    advanced = True
+                    break
+                if nxt in on_stack:
+                    lowlink[node] = min(lowlink[node], index[nxt])
+            if advanced:
+                continue
+            work.pop()
+            if lowlink[node] == index[node]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == node:
+                        break
+                if not cyclic_only or len(comp) > 1 or node in self_loops:
+                    out.append(frozenset(comp))
+            if work:
+                parent, _ = work[-1]
+                lowlink[parent] = min(lowlink[parent], lowlink[node])
+    return out
+
+
+def _start_mask(start: np.ndarray, size: int) -> np.ndarray:
+    visited = np.zeros(size, dtype=bool)
+    if start.dtype == np.bool_:
+        visited |= start
+    else:
+        visited[start] = True
+    return visited
+
+
+def forward_reachable(
+    view: TransitionView,
+    start: np.ndarray,
+    size: int,
+    within: np.ndarray | None = None,
+) -> np.ndarray:
+    """Per-group BFS: states reachable from ``start`` (mask or index array)."""
+    visited = _start_mask(start, size)
+    if within is not None:
+        visited &= within
+    frontier = visited.copy()
+    while frontier.any():
+        new = np.zeros(size, dtype=bool)
+        for src, dst in view.pairs():
+            sel = frontier[src]
+            if within is not None:
+                sel &= within[dst]
+            hit = dst[sel]
+            if len(hit):
+                new[hit] = True
+        new &= ~visited
+        visited |= new
+        frontier = new
+    return visited
+
+
+def backward_reachable(
+    view: TransitionView,
+    target: np.ndarray,
+    size: int,
+    within: np.ndarray | None = None,
+) -> np.ndarray:
+    """Per-group BFS: states that can reach ``target`` (mask or index array)."""
+    visited = _start_mask(target, size)
+    if within is not None:
+        visited &= within
+    frontier = visited.copy()
+    while frontier.any():
+        new = np.zeros(size, dtype=bool)
+        for src, dst in view.pairs():
+            sel = frontier[dst]
+            if within is not None:
+                sel &= within[src]
+            hit = src[sel]
+            if len(hit):
+                new[hit] = True
+        new &= ~visited
+        visited |= new
+        frontier = new
+    return visited
+
+
+def longest_path_ranks(pss, invariant) -> np.ndarray:
+    """Longest-path ranks by the ``np.maximum.at`` fixpoint (≤ ``|S|+1`` rounds).
+
+    Raises :class:`CertificateEmissionError` on a cycle outside ``I`` (no
+    fixpoint) or a deadlock outside ``I`` (rank 0 outside ``I``).
+    """
+    size = pss.space.size
+    inside = invariant.mask
+    src, dst = TransitionView.of_protocol(pss).edge_arrays()
+    keep = ~inside[src]
+    src, dst = src[keep], dst[keep]
+
+    rank = np.zeros(size, dtype=np.int64)
+    for _ in range(size + 1):
+        cand = np.zeros(size, dtype=np.int64)
+        if len(src):
+            np.maximum.at(cand, src, rank[dst] + 1)
+        cand[inside] = 0
+        if np.array_equal(cand, rank):
+            break
+        rank = cand
+    else:
+        raise CertificateEmissionError("pss has a non-progress cycle outside I")
+    if (~inside & (rank == 0)).any():
+        raise CertificateEmissionError("pss deadlocks outside I")
+    return rank.astype(np.int32)

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro.core.ranking import compute_ranks
-from repro.explicit.scc import tarjan_sccs
 from repro.protocols import (
     coloring,
     gouda_acharya_matching,
@@ -32,6 +31,8 @@ from repro.symbolic import (
     gentilini_sccs,
     xie_beerel_sccs,
 )
+
+from reference_graph import tarjan_sccs
 
 # Small instances of three case-study protocols (plus the flawed
 # Gouda-Acharya protocol, the one with genuine non-progress cycles in ¬I).

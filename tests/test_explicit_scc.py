@@ -1,5 +1,6 @@
-"""SCC detection tests: scipy-backed detector vs. in-repo Tarjan vs. networkx,
-plus the region-restricted fast path used by Identify_Resolve_Cycles."""
+"""SCC detection tests: scipy-backed detector vs. the reference Tarjan vs.
+networkx, plus the region-restricted fast path used by
+Identify_Resolve_Cycles."""
 
 import random
 
@@ -11,14 +12,15 @@ from hypothesis import strategies as st
 
 from repro.explicit.graph import TransitionView
 from repro.explicit.scc import (
-    _cyclic_sccs_of_edges,
     cyclic_sccs,
     cyclic_sccs_after_addition,
-    tarjan_sccs,
+    scc_labels,
+    scc_members,
 )
 from repro.protocols import token_ring
 
 from conftest import make_random_protocol
+from reference_graph import tarjan_sccs
 
 
 def nx_cyclic_sccs(edges):
@@ -51,8 +53,11 @@ def test_edge_scc_matches_networkx_without_self_loops(edges):
     edges = [(s, t) for s, t in edges if s != t]
     src = np.array([e[0] for e in edges], dtype=np.int64)
     dst = np.array([e[1] for e in edges], dtype=np.int64)
-    got = {frozenset(c.tolist()) for c in _cyclic_sccs_of_edges(src, dst)}
+    labels, sizes = scc_labels(src, dst, 13)
+    got = {frozenset(c.tolist()) for c in scc_members(labels, sizes)}
     assert got == nx_cyclic_sccs(edges)
+    assert sorted(sizes.tolist()) == sorted(len(c) for c in got)
+    assert (labels >= 0).sum() == sizes.sum()
 
 
 class TestProtocolSccs:

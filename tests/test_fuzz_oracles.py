@@ -72,10 +72,33 @@ class TestResolveOracles:
 
     def test_explicit_names_and_dedup(self):
         assert resolve_oracles(["cert", "ranks", "cert"]) == ["cert", "ranks"]
+        assert resolve_oracles(["cert,sccs", "ranks"]) == ["cert", "sccs", "ranks"]
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown oracle"):
             resolve_oracles(["bogus"])
+
+
+class TestInputEmission:
+    def test_emission_disagreeing_with_check_solution_is_a_finding(
+        self, monkeypatch
+    ):
+        import repro.cert as cert_mod
+        from repro.cert import CertificateEmissionError
+
+        real = cert_mod.longest_path_ranks
+
+        def flipped(pss, invariant):
+            try:
+                real(pss, invariant)
+            except CertificateEmissionError:
+                return None
+            raise CertificateEmissionError("flipped")
+
+        monkeypatch.setattr(cert_mod, "longest_path_ranks", flipped)
+        inst = generate_instance(0, SMALL)
+        findings = run_oracles(inst, ("cert",), OracleContext())
+        assert any("emission on the input" in f.message for f in findings)
 
 
 class TestCrashFolding:

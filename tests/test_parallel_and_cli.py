@@ -1,5 +1,9 @@
 """Tests for the multi-process portfolio and the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main, make_parser
@@ -98,3 +102,37 @@ class TestCli:
     def test_gouda_acharya_verify_fails(self, capsys):
         code = main(["verify", "gouda-acharya", "-k", "5"])
         assert code == 1
+
+    def test_trace_into_missing_directory_is_one_line_exit_2(self, tmp_path, capsys):
+        target = tmp_path / "no" / "such" / "x.jsonl"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["synthesize", "token-ring", "-k", "3", "--trace", str(target)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"stsyn: cannot write trace {target}: No such file or directory\n"
+        )
+
+    def test_closed_pipe_exits_1_without_traceback(self):
+        # stdout is a pipe whose reader is already gone: every flush fails
+        # with EPIPE, as with ``stsyn ... | head -1``
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (
+                os.path.join(os.path.dirname(__file__), "..", "src"),
+                env.get("PYTHONPATH"),
+            ) if p
+        )
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "synthesize",
+                 "token-ring", "-k", "3", "--print-actions"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == ""
+        assert proc.returncode == 1

@@ -1,0 +1,38 @@
+"""Internal consistency guards raise the typed :class:`SoundnessError`."""
+
+import numpy as np
+import pytest
+
+import repro.verify.stabilization as stabilization
+from repro import SoundnessError, SynthesisError, synthesize
+from repro.protocols import token_ring
+from repro.verify import extract_cycle
+from repro.verify.stabilization import SolutionCheck
+
+
+def test_rejected_winner_raises_soundness_error(monkeypatch):
+    protocol, invariant = token_ring(3, 3)
+    rejected = SolutionCheck(
+        invariant_closed=True,
+        behavior_inside_i_unchanged=True,
+        converges=False,
+        mode="strong",
+    )
+    monkeypatch.setattr(
+        stabilization, "check_solution", lambda *args, **kwargs: rejected
+    )
+    with pytest.raises(SoundnessError) as info:
+        synthesize(protocol, invariant)
+    assert info.value.check is rejected
+    assert isinstance(info.value, SynthesisError)
+    assert "verification failed" in str(info.value)
+
+
+def test_scc_member_without_intra_scc_successor(monkeypatch):
+    protocol, invariant = token_ring(3, 3)
+    # a one-state "SCC": without self-loops it can have no intra-SCC successor
+    state = int(np.flatnonzero(~invariant.mask)[0])
+    with pytest.raises(SoundnessError) as info:
+        extract_cycle(protocol, np.array([state]), invariant)
+    assert info.value.state == state
+    assert protocol.space.format_state(state) in str(info.value)
