@@ -23,13 +23,17 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import subprocess
 import time
 
 import pytest
 
+from repro.core.ranking import compute_ranks
+from repro.explicit.graph import TransitionView
+from repro.explicit.scc import cyclic_sccs
 from repro.metrics.stats import SynthesisStats
-from repro.protocols.coloring import coloring_invariant_bdd, coloring_symbolic
+from repro.protocols.coloring import coloring, coloring_symbolic
 from repro.protocols.matching import matching
 from repro.symbolic import (
     SymbolicProtocol,
@@ -43,7 +47,7 @@ from repro.trace.tracer import NullTracer, Tracer, record_bdd_counters
 FIGURE_RANKS = "Substrate: ComputeRanks — partitioned vs. monolithic"
 FIGURE_SYNTH = "Substrate: full synthesis — partitioned vs. monolithic"
 FIGURE_GC = "Substrate: pass-boundary GC — peak live nodes"
-FIGURE_KERNEL = "Substrate: kernel gauge — array kernel vs. reference kernel"
+FIGURE_KERNEL = "Substrate: kernel gauge — ComputeRanks and SCC decomposition"
 
 TRACE_PATH = os.environ.get("SUBSTRATE_TRACE", "substrate-trace.jsonl")
 BENCH_JSON = os.environ.get("SUBSTRATE_BENCH_JSON", "BENCH_substrate.json")
@@ -143,66 +147,60 @@ def test_smoke_synthesis_counters_traced(figure_report):
 
 
 # ----------------------------------------------------------------------
-# kernel gauge (CI): array kernel vs. retained reference kernel
+# kernel gauge (CI): the BDD kernel on the fixpoint workloads
 # ----------------------------------------------------------------------
 
 
-def _gauge_setup(name: str, k: int, kernel: str):
+def _gauge_setup(name: str, k: int):
     if name == "coloring":
-        protocol, _sp, _inv = coloring_symbolic(k)
-        sp = SymbolicProtocol(protocol, relation_mode="partitioned", kernel=kernel)
-        inv = coloring_invariant_bdd(sp.sym, k)
-    else:
-        protocol, invariant = matching(k)
-        sp = SymbolicProtocol(protocol, relation_mode="partitioned", kernel=kernel)
-        inv = sp.sym.from_predicate(invariant)
-    return protocol, sp, inv
+        return coloring_symbolic(k)
+    protocol, invariant = matching(k)
+    sp = SymbolicProtocol(protocol, relation_mode="partitioned")
+    return protocol, sp, sp.sym.from_predicate(invariant)
 
 
-def _kernel_ranks(name: str, k: int, kernel: str, reps: int = 5):
-    """ComputeRanks under one kernel; returns (elapsed, ranking, counters).
-
-    Best of ``reps`` cold runs, each on a fresh manager: a warm re-run on
-    the same manager is fully memoized on both kernels (sub-millisecond)
-    and would gauge nothing but probe overhead, so the cold first-run cost
-    is the honest number.  Counters come from the first run.
-    """
-    elapsed = None
-    counters = None
-    for _ in range(reps):
-        protocol, sp, inv = _gauge_setup(name, k, kernel)
-        with NullTracer() as tracer:
-            t0 = time.perf_counter()
-            ranking = compute_ranks_symbolic(sp, inv, tracer=tracer)
-            dt = time.perf_counter() - t0
-        if counters is None:
-            counters = sp.sym.bdd.counters()
-        elapsed = dt if elapsed is None else min(elapsed, dt)
-    return elapsed, ranking, counters
-
-
-def _kernel_scc(name: str, k: int, kernel: str, reps: int = 5):
-    """Gentilini SCC decomposition of the non-invariant region under one
-    kernel — the SCC-heavy gauge workload.  Returns ``(elapsed,
-    state-count multiset of the SCCs, counters)``; the multiset is the
-    kernel-independent denotation used for the identity check.  Repetition
-    protocol as in :func:`_kernel_ranks` (cold, fresh manager per rep).
-    """
-    elapsed = None
-    counters = None
-    for _ in range(reps):
-        protocol, sp, inv = _gauge_setup(name, k, kernel)
-        sym = sp.sym
-        relations = sp.process_relations(protocol.groups)
-        region = sym.bdd.diff(sym.domain_cur, inv)
+def _kernel_ranks(name: str, k: int):
+    """One cold ComputeRanks on a fresh manager: ``(elapsed, ranking,
+    counters)``.  A warm re-run on the same manager is fully memoized
+    (sub-millisecond) and would gauge nothing but probe overhead, so the
+    cold first-run cost is the honest number."""
+    _protocol, sp, inv = _gauge_setup(name, k)
+    with NullTracer() as tracer:
         t0 = time.perf_counter()
-        sccs = gentilini_sccs(sym, relations, region)
-        dt = time.perf_counter() - t0
-        if counters is None:
-            counters = sym.bdd.counters()
-        elapsed = dt if elapsed is None else min(elapsed, dt)
-        result = sorted(sym.count_states(c) for c in sccs)
-    return elapsed, result, counters
+        ranking = compute_ranks_symbolic(sp, inv, tracer=tracer)
+        elapsed = time.perf_counter() - t0
+    return elapsed, ranking, sp.sym.bdd.counters()
+
+
+def _kernel_scc(name: str, k: int):
+    """One cold Gentilini SCC decomposition of the non-invariant region —
+    the SCC-heavy gauge workload.  Returns ``(elapsed, state-count
+    multiset of the SCCs, counters)``."""
+    protocol, sp, inv = _gauge_setup(name, k)
+    sym = sp.sym
+    relations = sp.process_relations(protocol.groups)
+    region = sym.bdd.diff(sym.domain_cur, inv)
+    t0 = time.perf_counter()
+    sccs = gentilini_sccs(sym, relations, region)
+    elapsed = time.perf_counter() - t0
+    return elapsed, sorted(sym.count_states(c) for c in sccs), sym.bdd.counters()
+
+
+def _explicit_ranks(name: str, k: int):
+    """``(rank sizes, p_im groups)`` from the explicit engine."""
+    protocol, invariant = (coloring if name == "coloring" else matching)(k)
+    ranking = compute_ranks(protocol, invariant)
+    histogram = ranking.rank_histogram()
+    sizes = [histogram.get(i, 0) for i in range(ranking.max_rank + 1)]
+    return sizes, ranking.pim_groups
+
+
+def _explicit_scc_sizes(name: str, k: int) -> list[int]:
+    """State-count multiset of the cyclic SCCs outside I, explicitly."""
+    protocol, invariant = (coloring if name == "coloring" else matching)(k)
+    view = TransitionView.of_protocol(protocol)
+    sccs = cyclic_sccs(view, protocol.space.size, within=~invariant.mask)
+    return sorted(len(c) for c in sccs)
 
 
 #: ``(workload, protocol, k)`` gauge cases; ``scc`` exercises the fused
@@ -213,99 +211,60 @@ GAUGE_CASES = [
     ("scc", "matching", 8),
 ]
 
-#: committed gauge baseline (repo root); fresh ratios must not fall more
-#: than 20% below the values recorded there
-BASELINE_JSON = os.path.join(
-    os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_substrate.json"
-)
-
-
-def _gauge_baseline() -> dict[str, float]:
-    """``case -> ratio_ref_over_array`` from the committed bench JSON."""
-    try:
-        with open(BASELINE_JSON) as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError):
-        return {}
-    return {
-        row["case"]: row["ratio_ref_over_array"]
-        for row in payload.get("cases", [])
-        if "ratio_ref_over_array" in row
-    }
+#: cold runs per case; the best one is recorded
+BEST_OF = 5
 
 
 @pytest.mark.parametrize("cases", [
     pytest.param(GAUGE_CASES, id="smoke"),
 ])
 def test_smoke_kernel_gauge_emits_bench_json(cases, figure_report):
-    """Old kernel vs. new kernel on ComputeRanks + SCC decomposition.
+    """The BDD kernel on ComputeRanks + SCC decomposition.
 
-    The gauge pins two claims in CI: both kernels compute identical
-    results on every workload, and the array kernel holds the ground the
-    batched algorithm layer won — at or above reference parity on the
-    fixpoint workloads, with a regression guard that fails the run if any
-    case's ``ratio_ref_over_array`` falls more than 20% below the value
-    committed in ``BENCH_substrate.json``.  Each workload repeats three
-    times on one manager and reports the best (steady-state, noise-floor)
-    time, so one scheduler hiccup cannot fail CI.
-    Emits ``BENCH_substrate.json`` (path: ``SUBSTRATE_BENCH_JSON``) as the
-    workflow artifact consumed by ``benchmarks/SUBSTRATE_SCALING.md``.
+    Each case runs ``BEST_OF`` times cold, on a fresh manager, and records
+    the best time, so one scheduler hiccup cannot skew the record.  The
+    results are checked against the explicit engine: rank sizes and p_im
+    groups for the ranking cases, the SCC state-count multiset for the SCC
+    case.  Emits ``BENCH_substrate.json`` (path: ``SUBSTRATE_BENCH_JSON``)
+    as the workflow artifact consumed by
+    ``benchmarks/SUBSTRATE_SCALING.md``.
     """
     figure_report.register(
         FIGURE_KERNEL,
-        columns=["case", "reference (s)", "array (s)", "ratio ref/array",
-                 "array ITE calls", "reference ITE calls"],
-        note="same partitioned relation; results checked identical",
+        columns=["case", "kernel (s)", "ITE calls", "peak live nodes"],
+        note=f"best of {BEST_OF} cold runs; results checked against the "
+             "explicit engine",
     )
-    baseline = _gauge_baseline()
     rows = []
     for workload, name, k in cases:
         run = _kernel_ranks if workload == "ranks" else _kernel_scc
         case = f"{name} k={k}" if workload == "ranks" else f"scc {name} k={k}"
-        # interleave the kernels' reps so slow drift on a shared box (cache
-        # pressure, thermal throttle) cannot bias one side wholesale
-        t_ref, r_ref, c_ref = run(name, k, "reference", reps=1)
-        t_arr, r_arr, c_arr = run(name, k, "array", reps=1)
-        for _ in range(4):
-            t_ref = min(t_ref, run(name, k, "reference", reps=1)[0])
-            t_arr = min(t_arr, run(name, k, "array", reps=1)[0])
+        elapsed, result, counters = run(name, k)
+        for _ in range(BEST_OF - 1):
+            elapsed = min(elapsed, run(name, k)[0])
         if workload == "ranks":
-            assert r_arr.rank_sizes() == r_ref.rank_sizes()
-            assert r_arr.pim_groups == r_ref.pim_groups
+            sizes, pim_groups = _explicit_ranks(name, k)
+            assert result.rank_sizes() == sizes
+            assert result.pim_groups == pim_groups
         else:
-            assert r_arr == r_ref  # same SCC state-count multiset
-        # parity guard with generous slack for loaded CI boxes
-        assert t_arr < 4 * t_ref + 0.5, (
-            f"array kernel regressed on {case}: {t_arr:.3f}s vs "
-            f"reference {t_ref:.3f}s"
-        )
-        ratio = t_ref / t_arr
-        committed = baseline.get(case)
-        if committed is not None:
-            assert ratio >= 0.8 * committed, (
-                f"gauge regression on {case}: ratio ref/array {ratio:.3f} "
-                f"is more than 20% below the committed {committed:.3f}"
-            )
+            assert result == _explicit_scc_sizes(name, k)
         rows.append({
             "case": case,
             "workload": workload,
-            "reference_s": round(t_ref, 4),
-            "array_s": round(t_arr, 4),
-            "ratio_ref_over_array": round(ratio, 3),
-            "array_peak_live_nodes": c_arr["peak_live_nodes"],
-            "array_ite_calls": c_arr["ite_calls"],
-            "reference_ite_calls": c_ref.get("ite_calls", 0),
+            "kernel_s": round(elapsed, 4),
+            "peak_live_nodes": counters["peak_live_nodes"],
+            "ite_calls": counters["ite_calls"],
         })
         figure_report.add_row(
             FIGURE_KERNEL,
-            [case, t_ref, t_arr, ratio,
-             c_arr["ite_calls"], c_ref.get("ite_calls", 0)],
+            [case, elapsed, counters["ite_calls"], counters["peak_live_nodes"]],
         )
     payload = {
         "benchmark": "substrate-kernel-gauge",
         "commit": _git_commit(),
-        "kernel_new": "array (repro.bdd.manager.BDD)",
-        "kernel_old": "reference (repro.bdd.reference.ReferenceBDD)",
+        "python": platform.python_version(),
+        "cpus": os.cpu_count(),
+        "best_of": BEST_OF,
         "workload": "compute_ranks_symbolic + gentilini_sccs, partitioned relation",
         "cases": rows,
     }
@@ -351,9 +310,8 @@ def test_synthesis_scaling(name, k, figure_report):
         t_part, res_part, c_part = _synth_timed(name, k, "partitioned", tracer)
     assert res_mono.success and res_part.success
     assert res_part.pss_groups == res_mono.pss_groups
-    # Under the array kernel the batch engines closed most of the
-    # monolithic path's gap on matching (its relation BDD stays tiny, so
-    # the frame-avoidance win shrinks to run-to-run noise, ±20-30% on the
+    # On matching the monolithic relation BDD stays tiny, so the
+    # frame-avoidance win shrinks to run-to-run noise (±20-30% on the
     # SCC-heavy cycle-resolution phase); partitioned must not *lose* by
     # more than that noise band, and must still win on working-set size.
     assert t_part < 1.5 * t_mono, (

@@ -3,28 +3,18 @@
 Layout:
 
 :mod:`repro.bdd.manager`
-    The array-native BDD kernel (:class:`BDD`): struct-of-arrays node
-    store, open-addressed unique table, batched BFS apply engines with
-    scalar depth-first fast paths, mark-and-sweep GC and Rudell sifting
-    over flat arrays.  See ``docs/SUBSTRATE.md``.
-:mod:`repro.bdd.tables`
-    The hash-table substrate (unique table, lossy ternary memo caches).
+    The BDD kernel (:class:`BDD`): dict-of-tuples unique and memo tables,
+    one recursive apply procedure per operator, fused relational
+    products, mark-and-sweep GC and Rudell sifting with blocks.  A
+    manager holds at most :data:`~repro.bdd.manager.MAX_VARS` variables.
+    See ``docs/SUBSTRATE.md``.
 :mod:`repro.bdd.mdd`
     The multi-valued layer (:class:`~repro.bdd.mdd.MDD`): domain-sized
-    variables log-encoded over either kernel, with validity predicates
-    and encode/decode.
-:mod:`repro.bdd.reference`
-    The retained dict-of-tuples kernel
-    (:class:`~repro.bdd.reference.ReferenceBDD`) — the differential
-    oracle, selectable via ``kernel="reference"`` or
-    ``REPRO_BDD_KERNEL=reference``.
-
-Both kernels share the public API, the counter names and the
-variable-vs-level contract; node ids are kernel-private (see the
-migration note in ``docs/SUBSTRATE.md``).
+    variables log-encoded over the kernel, with validity predicates and
+    encode/decode.
 """
 
-from .manager import BDD, ONE, ZERO
+from .manager import BDD, MAX_VARS, ONE, ZERO
 from .mdd import MDD
 
-__all__ = ["BDD", "MDD", "ONE", "ZERO"]
+__all__ = ["BDD", "MAX_VARS", "MDD", "ONE", "ZERO"]

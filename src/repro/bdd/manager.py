@@ -1,99 +1,85 @@
-"""Array-native ROBDD kernel — the stand-in for CUDD/GLU (paper Sec. VII).
+"""ROBDD kernel — the stand-in for CUDD/GLU (paper Sec. VII).
 
-Reduced Ordered Binary Decision Diagrams with struct-of-arrays node storage:
-nodes are integer ids indexing three parallel ``numpy int64`` arrays
-(``level``, ``low``, ``high``); the two terminals are ``ZERO = 0`` and
-``ONE = 1`` at a sentinel level of ``n_vars``.  No complement edges.  The
-arrays feed the vectorised batch engines; identity-stable Python-list
-mirrors of the same three columns serve the scalar fast paths, where list
-indexing beats ``ndarray`` element access by ~4x on CPython.  The
-canonicity (unique) table and the memo tables are dict-backed stores with
-a batch (ndarray) API (:mod:`repro.bdd.tables` — see its docstring for
-why dicts beat open-addressed numpy arrays here), so there are no
-per-node Python objects anywhere: a node is nothing but an index.
+Reduced Ordered Binary Decision Diagrams with a unique table and memoised
+ITE, the classic Bryant construction.  Nodes are integer ids into three
+parallel Python lists (level, low, high); the two terminals are
+``ZERO = 0`` and ``ONE = 1`` at a sentinel level of ``n_vars``.  The unique
+table and the memo tables are plain dicts keyed by int tuples.  No
+complement edges — negation is a memoised traversal — which keeps the
+invariants simple and the node counts directly comparable in spirit to the
+paper's reported "number of BDD nodes".
 
-Apply engines
--------------
-All Boolean operations route through *batched breadth-first* apply engines
-instead of per-node Python recursion:
+Apply engine
+------------
+Every operator is one depth-first recursion: ``_ite`` (and every connective
+derived from it), ``_not``, ``_exists``, ``_and_exists``, the fused
+relational products ``_rel_pre``/``_rel_post``, ``_rename`` and
+``_restrict``.  The hot recursions (``_ite``, ``_and_exists``, ``_rel_pre``,
+``_rel_post``) compute cofactors inline and probe the unique table before
+falling back to the node constructor, which is where a pure-Python kernel
+spends its time on the fixpoint workloads.
 
-* :meth:`ite` (and every connective derived from it) runs a two-phase BFS —
-  a top-down sweep expands per-level frontiers of ``(f, g, h)`` request
-  triples (deduplicated, terminal-resolved and memo-probed in bulk), and a
-  bottom-up sweep reduces each frontier through a vectorised unique-table
-  ``mk``.  There is no recursion, hence no Python recursion limit; depth is
-  bounded only by the number of levels.
-* :meth:`exists`, :meth:`and_exists`, :meth:`rel_product_pre` and
-  :meth:`rel_product_post` share one generalised product engine,
-  parameterised by a level-space descriptor (a virtual *shift* of the second
-  operand's levels, a quantified-level mask, an output-level map and a
-  cut-off level).  Sub-problems below the cut-off are plain conjunctions and
-  are drained through the batched ITE engine.
-* :meth:`rename` and :meth:`restrict` are unary BFS traversals with the same
-  frontier machinery (rename keeps the node-by-node order check and raises
-  ``ValueError`` on order-breaking mappings).
-
-Frontiers narrower than a small cut-off are processed by a scalar twin of
-each phase (python ints against the same tables), so tiny operations do not
-pay vectorisation overhead; wide frontiers are pure numpy.  :meth:`and_all`
-and :meth:`or_all` reduce their operands as a balanced tree with one
-multi-root ITE call per round.
+The recursion descends one frame per level, so the Python stack depth of an
+operation grows with the variable count.  :data:`MAX_VARS` bounds it:
+``BDD(n)`` with ``n > MAX_VARS`` raises ``ValueError`` instead of letting a
+deep operation die later with a raw ``RecursionError``.
 
 Variables vs. levels
 --------------------
-The manager distinguishes **variables** (stable external names,
-``0 .. n_vars-1``) from **levels** (positions in the current order, root =
-level 0).  Every public operation — ``var``, ``cube``, ``exists``,
-``and_exists``, ``rename``, ``restrict``, ``eval``, ``pick``, ``iter_sat``
-— speaks *variable indices*; levels are an internal detail that
-:meth:`reorder` permutes.  Initially variable ``i`` sits at level ``i``.
-
-Memo tables
------------
-The ITE memo and the operation memo are capped, lossy caches in the style
-of CUDD's computed table: when an insert would exceed the cap the cache is
-dropped wholesale, so overflow costs recomputation, never correctness.
-One store serves both the scalar machines and the batch engines, so a
-result memoised by either path is a hit for the other.  Quantify,
-rename, restrict and relational-product calls are keyed ``(f, g, op_id)``
-where ``op_id`` names a registered level-space operation descriptor — equal
-``(f, g)`` pairs under different quantifier sets get different ids and
-therefore cannot alias (see the cache-key audit note in the repo history).
-Descriptors are level-based, so the registry and the operation memo are
-dropped by :meth:`reorder`; the ITE memo survives reorders because node ids
-keep denoting the same functions.
+The manager distinguishes **variables**
+(stable external names, ``0 .. n_vars-1``) from **levels** (positions in the
+current order, root = level 0).  Every public operation — ``var``, ``cube``,
+``exists``, ``and_exists``, ``rename``, ``restrict``, ``eval``, ``pick``,
+``iter_sat`` — speaks *variable indices*; levels are an internal detail that
+:meth:`reorder` permutes.  Initially variable ``i`` sits at level ``i``, so
+level-based callers are unaffected until they opt into reordering.
 
 Reordering
 ----------
-:meth:`reorder` runs Rudell's sifting over the flat arrays: each block of
-variables is moved through every position via the in-place adjacent-level
-swap primitive and parked where the live node count is smallest.  The swap
-rewrites nodes *in place* (scalar unique-table removes/inserts), so node
-ids keep denoting the same Boolean function across a reorder.  Blocks (:meth:`set_reorder_blocks`) let
-a transition-system encoding sift interleaved current/next bit *pairs* as
-units.  Auto-reordering (:attr:`auto_reorder`) triggers at the entry of a
-public operation when the unique table outgrows :attr:`reorder_threshold`.
+:meth:`reorder` runs Rudell's sifting: each block of variables is moved
+through every position via the in-place adjacent-level swap primitive and
+parked where the unique table is smallest.  The swap rewrites nodes *in
+place*, so node ids keep denoting the same Boolean function across a
+reorder — outstanding handles, the ``ite``/``not`` memo tables and the
+``_vars`` array all stay valid.  Level-keyed operation caches (``exists``,
+``and_exists``, ``rename``, ``restrict``) are dropped at the end of a
+reorder, because their keys mention quantified *level* sets (see the
+cache-key audit note below).  Blocks (:meth:`set_reorder_blocks`) let a
+transition-system encoding sift interleaved current/next bit *pairs* as
+units, preserving the order-preserving-rename contract the symbolic engine
+relies on.  Auto-reordering (:attr:`auto_reorder`) triggers sifting at the
+entry of a public operation whenever the unique table outgrows
+:attr:`reorder_threshold`; it never fires mid-recursion.
 
 Garbage collection
 ------------------
 Nodes are reclaimed by explicit mark-and-sweep (:meth:`collect_garbage`):
-the mark phase is a vectorised frontier walk from the variable nodes, every
-:meth:`ref`-ed node (see :meth:`protect`) and caller-supplied roots; the
-sweep rebuilds the unique table from the survivors and pushes freed slots
-onto a free list that the node constructor recycles.
-All memo tables are cleared, since entries may mention dead ids.
+roots are the variable nodes, every externally :meth:`ref`-ed node (see also
+the :meth:`protect` context manager) and any ``roots`` passed by the caller.
+Dead slots go on a free list and are reused by the node constructor, so ids
+handed out after a collection may recycle ids of collected nodes —
+**holding a node id across a collection without rooting it is a
+use-after-free**; that is the ref-counting contract.  All memo tables are
+cleared on collection (entries may mention dead ids).
 
-Tuning knobs
-------------
-``BDD(n_vars, initial_capacity=...)`` sizes the node-store arrays up front
-(they double on demand; the dict tables size themselves);
-:attr:`scalar_budget` bounds the depth-first fast path before it aborts to
-the BFS engines; ``auto_reorder`` / ``reorder_threshold`` control sifting.
-The retained
-dict-based implementation lives in :mod:`repro.bdd.reference` and is
-selectable at the symbolic layer via ``REPRO_BDD_KERNEL=reference`` — it is
-the differential-testing oracle, not a performance path.  See
-``docs/SUBSTRATE.md`` for internals and ``README.md`` for tuning guidance.
+Cache-key audit (regression-tested in ``tests/test_bdd_reorder_gc.py``)
+-----------------------------------------------------------------------
+Every op-cache key carries the *full* operation identity: ``("ex", f, vs)``,
+``("ae", f, g, vs)`` (operands id-sorted — conjunction commutes — and the
+quantified level-set ``vs`` always included, so equal ``(f, g)`` pairs under
+different quantification sets never collide), ``("rn", f, mapping)``,
+``("rs", f, assignments)``.  The keys mention *levels*, which is why every
+reorder clears the op cache.  ``rename`` additionally validates, node by
+node, that the result respects the level order — a mapping that moves a
+variable past an *unmapped* variable in the operand's support used to
+corrupt the unique table silently.
+
+Fused operators: ``and_exists`` fuses conjunction with existential
+quantification, and ``rel_product_pre``/``rel_product_post`` additionally
+rename the written bits virtually, so relational products never
+materialise the full conjunction or a shifted copy of the state set.  The
+always-on counters (``ite`` calls, memo hits, GC and reorder tallies) flow
+into trace reports via :func:`repro.trace.tracer.record_bdd_counters`.
 """
 
 from __future__ import annotations
@@ -101,59 +87,29 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
-from .tables import EMPTY, TernaryCache, UniqueTable
-
 ZERO = 0
 ONE = 1
 
-# Frontiers narrower than this are processed by the scalar twin of each
-# BFS phase; at or above it, the numpy path wins.
-_SCALAR_CUTOFF = 32
-
-# Default node-expansion budget for the depth-first scalar machines that
-# public entry points try first (overridable per manager via
-# ``BDD.scalar_budget``).  An operation that exhausts it aborts to the
-# batched BFS engine; subresults completed before the abort are already
-# memoised, so the restart does not repeat them.  Measured on the ranking
-# workloads, running single-root operations to completion in the scalar
-# machine beats handing them to the BFS engine by ~2x (the batch engine
-# only wins on genuinely multi-root frontiers), so the default is set
-# high enough that single-root aborts are practically impossible while
-# still bounding stack memory on pathological operations.
-_SCALAR_BUDGET = 1 << 22
-
-# Managers with at most this many variables route small ITEs through the
-# recursive fast path (_ite_rec): ITE recursion depth is bounded by the
-# level count, so the limit keeps a comfortable margin under CPython's
-# default 1000-frame recursion limit even from deep application stacks.
-_REC_VARS_MAX = 200
-
-
-class _SpillToBFS(Exception):
-    """Internal: the recursive scalar fast path ran out of budget; the
-    caller restarts the operation on the batched BFS engine (all
-    completed subproblems are already memoised)."""
+# Largest variable count a manager accepts.  Each operator recurses once per
+# level, so an operation's stack depth is the variable count plus the
+# caller's own frames: an xor ladder, ``exists`` and ``rel_product_pre``
+# still run at 800 variables and hit CPython's default 1000-frame recursion
+# limit at 1000.  512 keeps a wide margin for deep call stacks; the largest
+# encoding in the repository (ring colouring at K=40) uses 160 variables.
+MAX_VARS = 512
 
 
 class BDD:
-    """An array-native BDD manager over ``n_vars`` Boolean variables.
+    """A BDD manager over ``n_vars`` Boolean variables."""
 
-    Public API, counters and the variable-vs-level contract are identical
-    to the retained dict implementation (:class:`repro.bdd.reference.ReferenceBDD`);
-    only the data layout and the apply strategy differ.
-    """
-
-    def __init__(
-        self,
-        n_vars: int,
-        var_names: Sequence[str] | None = None,
-        *,
-        initial_capacity: int = 1 << 12,
-    ):
+    def __init__(self, n_vars: int, var_names: Sequence[str] | None = None):
         if n_vars < 0:
             raise ValueError("n_vars must be non-negative")
+        if n_vars > MAX_VARS:
+            raise ValueError(
+                f"{n_vars} BDD variables exceed the kernel's limit of "
+                f"{MAX_VARS} (its operators recurse once per variable)"
+            )
         self.n_vars = n_vars
         if var_names is not None and len(var_names) != n_vars:
             raise ValueError("one name per variable required")
@@ -163,40 +119,20 @@ class BDD:
         # variable <-> level maps; identity until the first reorder
         self._var2level = list(range(n_vars))
         self._level2var = list(range(n_vars))
-        # node storage: parallel numpy arrays indexed by node id.  Terminals
-        # occupy ids 0 and 1 with a sentinel level of n_vars (below every
-        # variable).  A freed slot has level -1 and sits on the free list.
-        cap = max(int(initial_capacity), n_vars + 64)
-        self._cap = cap
-        self._levels = np.empty(cap, dtype=np.int64)
-        self._lows = np.empty(cap, dtype=np.int64)
-        self._highs = np.empty(cap, dtype=np.int64)
-        self._levels[0] = self._levels[1] = n_vars
-        self._lows[0], self._highs[0] = ZERO, ZERO
-        self._lows[1], self._highs[1] = ONE, ONE
-        # python-list mirrors of the node arrays for the scalar fast paths:
-        # list indexing is several times cheaper than numpy scalar reads in
-        # CPython.  Kept exact by _mk/_mk_many/_grow_store and rebuilt
-        # wholesale after a reorder (sifting writes the arrays directly).
-        # Growth uses extend() and writes use index assignment, so list
-        # identity is stable — locals captured by a running scalar machine
-        # stay valid even across store growth.
-        self._levels_l: list[int] = self._levels.tolist()
-        self._lows_l: list[int] = self._lows.tolist()
-        self._highs_l: list[int] = self._highs.tolist()
-        self._n_slots = 2
+        # node storage: parallel lists indexed by node id.  Terminals occupy
+        # ids 0 and 1 with a sentinel level of n_vars (below every variable).
+        # A freed slot has level -1 and sits on the free list.
+        self._level = [n_vars, n_vars]
+        self._low = [ZERO, ONE]
+        self._high = [ZERO, ONE]
         self._free: list[int] = []
-        self._ut = UniqueTable(2 * cap)
-        self._ite_memo = TernaryCache(2 * cap)
-        self._op_memo = TernaryCache(2 * cap)
-        # level-space operation descriptors: key -> op_id -> param struct
-        self._op_descr: dict[tuple, int] = {}
-        self._op_structs: list[tuple] = []
-        # python-list twins of the descriptor arrays, built lazily for the
-        # scalar fast paths (list indexing beats numpy scalar reads)
-        self._op_scalar: dict[int, tuple] = {}
-        # per-write-set op ids of the fused relational products; level-based,
-        # so it survives GC but must be dropped on reorder
+        self._unique: dict[tuple[int, int, int], int] = {}
+        self._ite_cache: dict[tuple[int, int, int], int] = {}
+        self._not_cache: dict[int, int] = {}
+        self._op_cache: dict[tuple, int] = {}
+        # per-write-set argument structs of the fused relational products,
+        # keyed by the (cur_var, next_var) pairs tuple; level-based, so it
+        # survives GC but must be dropped on reorder
         self._relprod_args_cache: dict[tuple, tuple] = {}
         # external GC roots: node id -> reference count
         self._refs: dict[int, int] = {}
@@ -208,15 +144,6 @@ class BDD:
         self._reorder_dead: set[int] | None = None
         self.auto_reorder = False
         self.reorder_threshold = 100_000
-        # node-expansion budget for the scalar DFS machines (see
-        # _SCALAR_BUDGET); lower it to force the BFS fallback earlier
-        self.scalar_budget = _SCALAR_BUDGET
-        # recursive small-ITE fast path (see _ite_rec / _REC_VARS_MAX)
-        self._rec_ok = n_vars <= _REC_VARS_MAX
-        #: (variables tuple, reorder stamp, descending level list) — the
-        #: pick_cube_over level cache; holds levels only, never node ids
-        self._pco_cache: tuple | None = None
-        self._rec_budget = 0
         # Always-on operation counters (plain int increments — cheap enough
         # to leave enabled; see repro.trace for how they reach reports).
         self.n_ite_calls = 0
@@ -226,166 +153,56 @@ class BDD:
         self.n_op_cache_hits = 0
         self.n_gc_runs = 0
         self.n_gc_collected = 0
-        self.n_memo_gc_pruned = 0
-        self.n_relprod_many = 0
-        self.n_relprod_many_bfs = 0
         self.n_reorder_runs = 0
         self.n_reorder_swaps = 0
+        # fused union-image calls (rel_product_*_many)
+        self.n_relprod_many = 0
         self._n_live = 0
         self.n_peak_live = 0
         self._vars = [self._mk(i, ZERO, ONE) for i in range(n_vars)]
 
     # ------------------------------------------------------------------
-    # node-store compatibility views (tests and tools may introspect)
-    # ------------------------------------------------------------------
-    @property
-    def _level(self) -> np.ndarray:
-        """All allocated slots' levels (``len`` = slots ever allocated)."""
-        return self._levels[: self._n_slots]
-
-    @property
-    def _low(self) -> np.ndarray:
-        return self._lows[: self._n_slots]
-
-    @property
-    def _high(self) -> np.ndarray:
-        return self._highs[: self._n_slots]
-
-    # ------------------------------------------------------------------
     # structure
     # ------------------------------------------------------------------
-    def _grow_store(self, need: int) -> None:
-        cap = self._cap
-        while cap < need:
-            cap *= 2
-        for name in ("_levels", "_lows", "_highs"):
-            old = getattr(self, name)
-            new = np.empty(cap, dtype=np.int64)
-            new[: self._n_slots] = old[: self._n_slots]
-            setattr(self, name, new)
-        grow = cap - len(self._levels_l)
-        if grow > 0:
-            pad = [0] * grow
-            self._levels_l.extend(pad)
-            self._lows_l.extend(pad)
-            self._highs_l.extend(pad)
-        self._cap = cap
-        # keep the lossy memo caps roughly in step with the node store
-        self._ite_memo.resize(2 * cap)
-        self._op_memo.resize(2 * cap)
-
     def _mk(self, level: int, low: int, high: int) -> int:
-        """Scalar unique-table constructor (reorderer + narrow frontiers).
-
-        The unique-table dict is accessed directly — this is the hottest
-        scalar call in the kernel and the method-call indirection through
-        :class:`UniqueTable` measurably shows up on ranking workloads.
-        """
         if low == high:
             return low
         key = (level, low, high)
-        ud = self._ut.d
-        node = ud.get(key)
-        if node is not None:
-            return node
-        if self._free:
-            node = self._free.pop()
-        else:
-            if self._n_slots >= self._cap:
-                self._grow_store(self._n_slots + 1)
-            node = self._n_slots
-            self._n_slots += 1
-        self._levels[node] = level
-        self._lows[node] = low
-        self._highs[node] = high
-        self._levels_l[node] = level
-        self._lows_l[node] = low
-        self._highs_l[node] = high
-        ud[key] = node
-        self._n_live += 1
-        if self._n_live > self.n_peak_live:
-            self.n_peak_live = self._n_live
-        if self._reorder_tracking is not None:
-            self._reorder_tracking[level].add(node)
-        return node
-
-    def _mk_many(self, level: int, Lo: np.ndarray, Hi: np.ndarray) -> np.ndarray:
-        """Vectorised ``mk``: one unique-table round trip for a frontier."""
-        out = np.empty(len(Lo), dtype=np.int64)
-        redund = Lo == Hi
-        out[redund] = Lo[redund]
-        work = ~redund
-        nw = int(np.count_nonzero(work))
-        if nw == 0:
-            return out
-        lo = Lo[work]
-        hi = Hi[work]
-        # dedup (lo, hi) pairs so table inserts see distinct keys
-        order = np.lexsort((hi, lo))
-        slo, shi = lo[order], hi[order]
-        head = np.empty(nw, dtype=bool)
-        head[0] = True
-        head[1:] = (slo[1:] != slo[:-1]) | (shi[1:] != shi[:-1])
-        grp = np.cumsum(head) - 1
-        ulo, uhi = slo[head], shi[head]
-        lv = np.full(len(ulo), level, dtype=np.int64)
-        found = self._ut.lookup_many(
-            lv, ulo, uhi, self._levels, self._lows, self._highs
-        )
-        miss = found == EMPTY
-        nmiss = int(np.count_nonzero(miss))
-        if nmiss:
-            mlo, mhi = ulo[miss], uhi[miss]
-            ids = np.empty(nmiss, dtype=np.int64)
-            nfree = min(len(self._free), nmiss)
-            if nfree:
-                ids[:nfree] = self._free[-nfree:]
-                del self._free[len(self._free) - nfree :]
-            fresh = nmiss - nfree
-            if fresh:
-                if self._n_slots + fresh > self._cap:
-                    self._grow_store(self._n_slots + fresh)
-                ids[nfree:] = np.arange(
-                    self._n_slots, self._n_slots + fresh, dtype=np.int64
-                )
-                self._n_slots += fresh
-            self._levels[ids] = level
-            self._lows[ids] = mlo
-            self._highs[ids] = mhi
-            ll, lol, hl = self._levels_l, self._lows_l, self._highs_l
-            for i, a, b in zip(ids.tolist(), mlo.tolist(), mhi.tolist()):
-                ll[i] = level
-                lol[i] = a
-                hl[i] = b
-            self._ut.insert_many(
-                lv[miss], mlo, mhi, ids, self._levels, self._lows, self._highs
-            )
-            found[miss] = ids
-            self._n_live += nmiss
+        node = self._unique.get(key)
+        if node is None:
+            if self._free:
+                node = self._free.pop()
+                self._level[node] = level
+                self._low[node] = low
+                self._high[node] = high
+            else:
+                node = len(self._level)
+                self._level.append(level)
+                self._low.append(low)
+                self._high.append(high)
+            self._unique[key] = node
+            self._n_live += 1
             if self._n_live > self.n_peak_live:
                 self.n_peak_live = self._n_live
-            if self._reorder_tracking is not None:  # pragma: no cover - safety
-                self._reorder_tracking[level].update(ids.tolist())
-        res = np.empty(nw, dtype=np.int64)
-        res[order] = found[grp]
-        out[work] = res
-        return out
+            if self._reorder_tracking is not None:
+                self._reorder_tracking[level].add(node)
+        return node
 
     def var(self, index: int) -> int:
         """The BDD of the variable at ``index``."""
         return self._vars[index]
 
     def nvar(self, index: int) -> int:
-        """The BDD of the negated variable (memoised via ITE)."""
+        """The BDD of the negated variable (cached via NOT)."""
         return self.not_(self._vars[index])
 
     def level_of(self, node: int) -> int:
         """The *level* of a node's root in the current order."""
-        return int(self._levels[node])
+        return self._level[node]
 
     def var_of(self, node: int) -> int:
         """The *variable index* tested at a node's root."""
-        return self._level2var[int(self._levels[node])]
+        return self._level2var[self._level[node]]
 
     def level_of_var(self, index: int) -> int:
         """Current level of variable ``index``."""
@@ -396,1144 +213,138 @@ class BDD:
         return list(self._level2var)
 
     def low(self, node: int) -> int:
-        return int(self._lows[node])
+        return self._low[node]
 
     def high(self, node: int) -> int:
-        return int(self._highs[node])
+        return self._high[node]
 
     def num_nodes(self) -> int:
         """Nodes currently in the unique table (terminals included)."""
-        return self._ut.n_live + 2
+        return len(self._unique) + 2
 
     def _to_levels(self, variables: Iterable[int]) -> frozenset[int]:
         v2l = self._var2level
         return frozenset(v2l[v] for v in variables)
 
     # ------------------------------------------------------------------
-    # batched ITE engine (two-phase BFS, no recursion)
-    # ------------------------------------------------------------------
-    def _ite_many(self, F, G, H) -> np.ndarray:
-        """Resolve ``ite(F[i], G[i], H[i])`` for all roots in one BFS.
-
-        Top-down: per-level frontiers of (f, g, h) request triples are
-        deduplicated, terminal-resolved, memo-probed and cofactor-expanded.
-        Bottom-up: frontiers reduce through ``_mk_many`` in reverse creation
-        order (children are always created after their parents, at strictly
-        larger levels).  Narrow frontiers run a scalar twin of both phases.
-        """
-        nv = self.n_vars
-        levels, lows, highs = self._levels, self._lows, self._highs
-        levels_l, lows_l, highs_l = self._levels_l, self._lows_l, self._highs_l
-        memo = self._ite_memo
-        F = np.asarray(F, dtype=np.int64)
-        G = np.asarray(G, dtype=np.int64)
-        H = np.asarray(H, dtype=np.int64)
-        nroot = len(F)
-        root_slot = np.empty(nroot, dtype=np.int64)
-
-        # request store: triple, children slot refs, result (-1 = pending)
-        cap = 256
-        rf = np.empty(cap, dtype=np.int64)
-        rg = np.empty(cap, dtype=np.int64)
-        rh = np.empty(cap, dtype=np.int64)
-        rc0 = np.empty(cap, dtype=np.int64)
-        rc1 = np.empty(cap, dtype=np.int64)
-        rres = np.empty(cap, dtype=np.int64)
-        n_store = 0
-        segs: list[tuple[int, int, int]] = []  # (level, start, end)
-
-        def ensure_store(extra: int):
-            nonlocal cap, rf, rg, rh, rc0, rc1, rres
-            if n_store + extra <= cap:
-                return
-            while cap < n_store + extra:
-                cap *= 2
-            for name in ("rf", "rg", "rh", "rc0", "rc1", "rres"):
-                pass
-            rf = np.resize(rf, cap)
-            rg = np.resize(rg, cap)
-            rh = np.resize(rh, cap)
-            rc0 = np.resize(rc0, cap)
-            rc1 = np.resize(rc1, cap)
-            rres = np.resize(rres, cap)
-
-        # buckets[l]: list of (F, G, H, parent, side) chunks.  parent >= 0 is
-        # a store slot (side selects c0/c1); parent < 0 encodes root ~parent.
-        buckets: list[list | None] = [None] * (nv + 1)
-
-        def enqueue(lv_arr, A, B, C, P, S):
-            for l in np.unique(lv_arr):
-                m = lv_arr == l
-                b = buckets[l]
-                if b is None:
-                    b = buckets[l] = []
-                b.append((A[m], B[m], C[m], P[m], S[m]))
-
-        lv_root = np.minimum(np.minimum(levels[F], levels[G]), levels[H])
-        enqueue(
-            lv_root, F, G, H,
-            -np.arange(1, nroot + 1, dtype=np.int64),
-            np.zeros(nroot, dtype=np.int64),
-        )
-
-        for l in range(int(lv_root.min()), nv + 1):
-            chunks = buckets[l]
-            if not chunks:
-                continue
-            buckets[l] = None
-            if len(chunks) == 1:
-                bf, bg, bh, bp, bs = chunks[0]
-            else:
-                bf = np.concatenate([c[0] for c in chunks])
-                bg = np.concatenate([c[1] for c in chunks])
-                bh = np.concatenate([c[2] for c in chunks])
-                bp = np.concatenate([c[3] for c in chunks])
-                bs = np.concatenate([c[4] for c in chunks])
-            nb = len(bf)
-
-            if nb < _SCALAR_CUTOFF:
-                # ---- scalar twin ----
-                local: dict[tuple[int, int, int], int] = {}
-                base = n_store
-                sc_f: list[int] = []
-                sc_g: list[int] = []
-                sc_h: list[int] = []
-                sc_p: list[int] = []
-                sc_s: list[int] = []
-                for i in range(nb):
-                    f = bf.item(i); g = bg.item(i); h = bh.item(i)
-                    slot = local.get((f, g, h))
-                    if slot is None:
-                        self.n_ite_calls += 1
-                        r = -1
-                        if f == ONE:
-                            r = g
-                        elif f == ZERO:
-                            r = h
-                        elif g == h:
-                            r = g
-                        elif g == ONE and h == ZERO:
-                            r = f
-                        if r >= 0:
-                            self.n_ite_terminal += 1
-                        else:
-                            r = memo.get(f, g, h)
-                            if r >= 0:
-                                self.n_ite_cache_hits += 1
-                        ensure_store(1)
-                        slot = n_store
-                        rf[slot] = f; rg[slot] = g; rh[slot] = h
-                        rres[slot] = r
-                        n_store += 1
-                        local[(f, g, h)] = slot
-                        if r < 0:
-                            lf = levels_l[f]; lg = levels_l[g]; lh = levels_l[h]
-                            f0, f1 = (lows_l[f], highs_l[f]) if lf == l else (f, f)
-                            g0, g1 = (lows_l[g], highs_l[g]) if lg == l else (g, g)
-                            h0, h1 = (lows_l[h], highs_l[h]) if lh == l else (h, h)
-                            sc_f.append(f0); sc_g.append(g0); sc_h.append(h0)
-                            sc_p.append(slot); sc_s.append(0)
-                            sc_f.append(f1); sc_g.append(g1); sc_h.append(h1)
-                            sc_p.append(slot); sc_s.append(1)
-                    p = bp.item(i)
-                    if p < 0:
-                        root_slot[-p - 1] = slot
-                    elif bs.item(i) == 0:
-                        rc0[p] = slot
-                    else:
-                        rc1[p] = slot
-                if n_store > base:
-                    segs.append((l, base, n_store))
-                if sc_f:
-                    A = np.array(sc_f, dtype=np.int64)
-                    B = np.array(sc_g, dtype=np.int64)
-                    C = np.array(sc_h, dtype=np.int64)
-                    lv = np.minimum(np.minimum(levels[A], levels[B]), levels[C])
-                    enqueue(lv, A, B, C,
-                            np.array(sc_p, dtype=np.int64),
-                            np.array(sc_s, dtype=np.int64))
-                continue
-
-            # ---- vector path ----
-            order = np.lexsort((bh, bg, bf))
-            sf, sg, sh = bf[order], bg[order], bh[order]
-            head = np.empty(nb, dtype=bool)
-            head[0] = True
-            head[1:] = (sf[1:] != sf[:-1]) | (sg[1:] != sg[:-1]) | (sh[1:] != sh[:-1])
-            grp = np.cumsum(head) - 1
-            Fu, Gu, Hu = sf[head], sg[head], sh[head]
-            nu = len(Fu)
-            self.n_ite_calls += nu
-            res = np.full(nu, -1, dtype=np.int64)
-            m = Fu == ONE
-            res[m] = Gu[m]
-            m = (res < 0) & (Fu == ZERO)
-            res[m] = Hu[m]
-            m = (res < 0) & (Gu == Hu)
-            res[m] = Gu[m]
-            m = (res < 0) & (Gu == ONE) & (Hu == ZERO)
-            res[m] = Fu[m]
-            n_term = int(np.count_nonzero(res >= 0))
-            self.n_ite_terminal += n_term
-            un = res < 0
-            if un.any():
-                probe = memo.get_many(Fu[un], Gu[un], Hu[un])
-                hits = probe >= 0
-                self.n_ite_cache_hits += int(np.count_nonzero(hits))
-                tmp = res[un]
-                tmp[hits] = probe[hits]
-                res[un] = tmp
-            base = n_store
-            ensure_store(nu)
-            rf[base : base + nu] = Fu
-            rg[base : base + nu] = Gu
-            rh[base : base + nu] = Hu
-            rres[base : base + nu] = res
-            n_store += nu
-            segs.append((l, base, base + nu))
-            # scatter slot ids to parents / roots
-            slots_sorted = base + grp
-            root_m = bp[order] < 0
-            if root_m.any():
-                root_slot[-(bp[order][root_m]) - 1] = slots_sorted[root_m]
-            pm = ~root_m
-            if pm.any():
-                pr = bp[order][pm]
-                sd = bs[order][pm]
-                sl = slots_sorted[pm]
-                c0 = sd == 0
-                rc0[pr[c0]] = sl[c0]
-                rc1[pr[~c0]] = sl[~c0]
-            # expand unresolved requests
-            unres = res < 0
-            if unres.any():
-                Fe, Ge, He = Fu[unres], Gu[unres], Hu[unres]
-                pidx = base + np.nonzero(unres)[0]
-                lf, lg, lh = levels[Fe], levels[Ge], levels[He]
-                F0 = np.where(lf == l, lows[Fe], Fe)
-                F1 = np.where(lf == l, highs[Fe], Fe)
-                G0 = np.where(lg == l, lows[Ge], Ge)
-                G1 = np.where(lg == l, highs[Ge], Ge)
-                H0 = np.where(lh == l, lows[He], He)
-                H1 = np.where(lh == l, highs[He], He)
-                zero_side = np.zeros(len(pidx), dtype=np.int64)
-                one_side = np.ones(len(pidx), dtype=np.int64)
-                lv0 = np.minimum(np.minimum(levels[F0], levels[G0]), levels[H0])
-                enqueue(lv0, F0, G0, H0, pidx, zero_side)
-                lv1 = np.minimum(np.minimum(levels[F1], levels[G1]), levels[H1])
-                enqueue(lv1, F1, G1, H1, pidx, one_side)
-
-        # ---- bottom-up reduce ----
-        for l, s, e in reversed(segs):
-            pend = rres[s:e] < 0
-            if not pend.any():
-                continue
-            idx = s + np.nonzero(pend)[0]
-            if len(idx) < _SCALAR_CUTOFF:
-                for i in idx.tolist():
-                    lo = rres.item(rc0.item(i))
-                    hi = rres.item(rc1.item(i))
-                    r = self._mk(l, lo, hi)
-                    rres[i] = r
-                    memo.put(rf.item(i), rg.item(i), rh.item(i), r)
-            else:
-                lo = rres[rc0[idx]]
-                hi = rres[rc1[idx]]
-                out = self._mk_many(l, lo, hi)
-                rres[idx] = out
-                memo.put_many(rf[idx], rg[idx], rh[idx], out)
-
-        return rres[root_slot]
-
-    def _ite_scalar(self, f: int, g: int, h: int, budget: int) -> tuple[int, int]:
-        """Depth-first scalar ITE with an explicit stack and a work budget.
-
-        Returns ``(result, remaining_budget)``; result is -1 when the
-        budget ran out, in which case every subproblem completed so far is
-        already in the ITE memo and the caller falls back to the batched
-        BFS engine, which reuses those entries.
-        """
-        levels, lows, highs = self._levels_l, self._lows_l, self._highs_l
-        # the memo and unique-table dicts are accessed directly (identity
-        # is stable — clear()/rotate()/rebuild() mutate in place);
-        # method-call indirection on the two hottest probes costs ~15%
-        # end to end.  The elder memo generation is probed only on a
-        # young-segment miss, so the hot hit path costs what it always did.
-        memo = self._ite_memo
-        md = memo.d
-        mo = memo.o
-        mlimit = memo.limit
-        ud = self._ut.d
-        n_calls = n_term = n_hits = n_cross = 0
-        # ops stack: (0, f, g, h) = resolve/expand, (1, f, g, h, l) = reduce
-        ops: list[tuple] = [(0, f, g, h)]
-        res: list[int] = []
-        while ops:
-            fr = ops.pop()
-            if fr[0] == 0:
-                _, f, g, h = fr
-                n_calls += 1
-                if f == ONE:
-                    n_term += 1
-                    res.append(g)
-                    continue
-                if f == ZERO:
-                    n_term += 1
-                    res.append(h)
-                    continue
-                if g == h:
-                    n_term += 1
-                    res.append(g)
-                    continue
-                if g == ONE and h == ZERO:
-                    n_term += 1
-                    res.append(f)
-                    continue
-                kt = (f, g, h)
-                r = md.get(kt)
-                if r is None and mo:
-                    r = mo.get(kt)
-                    if r is not None:
-                        md[kt] = r
-                        n_cross += 1
-                if r is not None:
-                    n_hits += 1
-                    res.append(r)
-                    continue
-                budget -= 1
-                if budget < 0:
-                    self.n_ite_calls += n_calls
-                    self.n_ite_terminal += n_term
-                    self.n_ite_cache_hits += n_hits
-                    memo.crossop_hits += n_cross
-                    return -1, 0
-                lf = levels[f]
-                lg = levels[g]
-                lh = levels[h]
-                l = lf
-                if lg < l:
-                    l = lg
-                if lh < l:
-                    l = lh
-                if lf == l:
-                    f0, f1 = lows[f], highs[f]
-                else:
-                    f0 = f1 = f
-                if lg == l:
-                    g0, g1 = lows[g], highs[g]
-                else:
-                    g0 = g1 = g
-                if lh == l:
-                    h0, h1 = lows[h], highs[h]
-                else:
-                    h0 = h1 = h
-                ops.append((1, f, g, h, l))
-                ops.append((0, f1, g1, h1))
-                ops.append((0, f0, g0, h0))
-            else:
-                _, f, g, h, l = fr
-                hi = res.pop()
-                lo = res.pop()
-                if lo == hi:
-                    r = lo
-                else:
-                    r = ud.get((l, lo, hi))
-                    if r is None:
-                        r = self._mk(l, lo, hi)
-                if len(md) >= mlimit:
-                    memo.rotate()
-                md[(f, g, h)] = r
-                res.append(r)
-        self.n_ite_calls += n_calls
-        self.n_ite_terminal += n_term
-        self.n_ite_cache_hits += n_hits
-        memo.crossop_hits += n_cross
-        return res[-1], budget
-
-    def _ite_rec(self, f, g, h, levels, lows, highs, md, memo, ud):
-        """Recursive scalar ITE — the small-op fast path.
-
-        A plain recursion beats the explicit-stack machine by ~2x per
-        subproblem on CPython (no frame tuples, no stack churn), and the
-        fixpoint algorithms flood the kernel with exactly such tiny
-        operations.  Only entered when the level count bounds the
-        recursion depth safely (``_rec_ok``); charges the same budget as
-        the machine and raises :class:`_SpillToBFS` when it runs out, so
-        genuinely large operations still reach the batched BFS engine —
-        with every completed subproblem already memoised.
-
-        Terminal returns are deliberately not counted in
-        ``n_ite_terminal`` here: the counter is diagnostic (its only
-        invariant is ``ite_terminal <= ite_calls``) and the increment is
-        measurable on the millions of terminal frames this path serves."""
-        self.n_ite_calls += 1
-        if f == ONE:
-            return g
-        if f == ZERO:
-            return h
-        if g == h:
-            return g
-        if g == ONE and h == ZERO:
-            return f
-        kt = (f, g, h)
-        r = md.get(kt)
-        if r is None:
-            mo = memo.o
-            if mo:
-                r = mo.get(kt)
-                if r is not None:
-                    md[kt] = r
-                    memo.crossop_hits += 1
-        if r is not None:
-            self.n_ite_cache_hits += 1
-            return r
-        b = self._rec_budget - 1
-        if b < 0:
-            raise _SpillToBFS
-        self._rec_budget = b
-        lf = levels[f]
-        lg = levels[g]
-        lh = levels[h]
-        l = lf
-        if lg < l:
-            l = lg
-        if lh < l:
-            l = lh
-        if lf == l:
-            f0, f1 = lows[f], highs[f]
-        else:
-            f0 = f1 = f
-        if lg == l:
-            g0, g1 = lows[g], highs[g]
-        else:
-            g0 = g1 = g
-        if lh == l:
-            h0, h1 = lows[h], highs[h]
-        else:
-            h0 = h1 = h
-        lo = self._ite_rec(f0, g0, h0, levels, lows, highs, md, memo, ud)
-        hi = self._ite_rec(f1, g1, h1, levels, lows, highs, md, memo, ud)
-        if lo == hi:
-            r = lo
-        else:
-            r = ud.get((l, lo, hi))
-            if r is None:
-                r = self._mk(l, lo, hi)
-        if len(md) >= memo.limit:
-            memo.rotate()
-        md[kt] = r
-        return r
-
-    def _and_rec(self, f, g, levels, lows, highs, md, memo, ud):
-        """Recursive conjunction — ``_ite_rec`` specialised to h == ZERO.
-
-        Two operands instead of three per frame, plus the ``f == g``
-        terminal the ITE form cannot see (``ITE(f, f, 0)`` recurses all
-        the way down).  Memo keys stay in ITE form ``(f, g, ZERO)`` so
-        results are shared with every other path computing the same
-        conjunction."""
-        self.n_ite_calls += 1
-        if f == ONE:
-            return g
-        if g == ONE:
-            return f
-        if f == ZERO or g == ZERO:
-            return ZERO
-        if f == g:
-            return f
-        kt = (f, g, ZERO)
-        r = md.get(kt)
-        if r is None:
-            mo = memo.o
-            if mo:
-                r = mo.get(kt)
-                if r is not None:
-                    md[kt] = r
-                    memo.crossop_hits += 1
-        if r is not None:
-            self.n_ite_cache_hits += 1
-            return r
-        b = self._rec_budget - 1
-        if b < 0:
-            raise _SpillToBFS
-        self._rec_budget = b
-        lf = levels[f]
-        lg = levels[g]
-        l = lf if lf < lg else lg
-        if lf == l:
-            f0, f1 = lows[f], highs[f]
-        else:
-            f0 = f1 = f
-        if lg == l:
-            g0, g1 = lows[g], highs[g]
-        else:
-            g0 = g1 = g
-        lo = self._and_rec(f0, g0, levels, lows, highs, md, memo, ud)
-        hi = self._and_rec(f1, g1, levels, lows, highs, md, memo, ud)
-        if lo == hi:
-            r = lo
-        else:
-            r = ud.get((l, lo, hi))
-            if r is None:
-                r = self._mk(l, lo, hi)
-        if len(md) >= memo.limit:
-            memo.rotate()
-        md[kt] = r
-        return r
-
-    def _or_rec(self, f, g, levels, lows, highs, md, memo, ud):
-        """Recursive disjunction — ``_ite_rec`` specialised to the
-        ``ITE(f, ONE, g)`` form, with the same key sharing and the extra
-        ``f == g`` terminal.  The quantified levels of the relational
-        products and the frontier unions of the fixpoints live here."""
-        self.n_ite_calls += 1
-        if f == ZERO:
-            return g
-        if g == ZERO:
-            return f
-        if f == ONE or g == ONE:
-            return ONE
-        if f == g:
-            return f
-        kt = (f, ONE, g)
-        r = md.get(kt)
-        if r is None:
-            mo = memo.o
-            if mo:
-                r = mo.get(kt)
-                if r is not None:
-                    md[kt] = r
-                    memo.crossop_hits += 1
-        if r is not None:
-            self.n_ite_cache_hits += 1
-            return r
-        b = self._rec_budget - 1
-        if b < 0:
-            raise _SpillToBFS
-        self._rec_budget = b
-        lf = levels[f]
-        lg = levels[g]
-        l = lf if lf < lg else lg
-        if lf == l:
-            f0, f1 = lows[f], highs[f]
-        else:
-            f0 = f1 = f
-        if lg == l:
-            g0, g1 = lows[g], highs[g]
-        else:
-            g0 = g1 = g
-        lo = self._or_rec(f0, g0, levels, lows, highs, md, memo, ud)
-        hi = self._or_rec(f1, g1, levels, lows, highs, md, memo, ud)
-        if lo == hi:
-            r = lo
-        else:
-            r = ud.get((l, lo, hi))
-            if r is None:
-                r = self._mk(l, lo, hi)
-        if len(md) >= memo.limit:
-            memo.rotate()
-        md[kt] = r
-        return r
-
-    def _ite1(self, f: int, g: int, h: int) -> int:
-        """Scalar ITE entry: depth-first with a work budget, falling back
-        to the one-root BFS engine when the operation turns out large.
-        Resolves terminals and memo hits inline — the overwhelming
-        majority of calls in the engine's fixpoint loops — before paying
-        any machine setup."""
-        if f == ONE:
-            self.n_ite_calls += 1
-            self.n_ite_terminal += 1
-            return g
-        if f == ZERO:
-            self.n_ite_calls += 1
-            self.n_ite_terminal += 1
-            return h
-        if g == h:
-            self.n_ite_calls += 1
-            self.n_ite_terminal += 1
-            return g
-        if g == ONE and h == ZERO:
-            self.n_ite_calls += 1
-            self.n_ite_terminal += 1
-            return f
-        memo = self._ite_memo
-        kt = (f, g, h)
-        r = memo.d.get(kt)
-        if r is None and memo.o:
-            r = memo.o.get(kt)
-            if r is not None:
-                memo.d[kt] = r
-                memo.crossop_hits += 1
-        if r is not None:
-            self.n_ite_calls += 1
-            self.n_ite_cache_hits += 1
-            return r
-        if self._rec_ok:
-            self._rec_budget = self.scalar_budget
-            try:
-                if h == ZERO:
-                    return self._and_rec(
-                        f, g,
-                        self._levels_l, self._lows_l, self._highs_l,
-                        memo.d, memo, self._ut.d,
-                    )
-                if g == ONE:
-                    return self._or_rec(
-                        f, h,
-                        self._levels_l, self._lows_l, self._highs_l,
-                        memo.d, memo, self._ut.d,
-                    )
-                return self._ite_rec(
-                    f, g, h,
-                    self._levels_l, self._lows_l, self._highs_l,
-                    memo.d, memo, self._ut.d,
-                )
-            except _SpillToBFS:
-                return int(self._ite_many([f], [g], [h])[0])
-        r, _ = self._ite_scalar(f, g, h, self.scalar_budget)
-        if r >= 0:
-            return r
-        return int(self._ite_many([f], [g], [h])[0])
-
-    # ------------------------------------------------------------------
-    # connectives
+    # core operations
     # ------------------------------------------------------------------
     def ite(self, f: int, g: int, h: int) -> int:
         """If-then-else: ``f ? g : h`` — the universal connective."""
         self._maybe_reorder()
-        return self._ite1(f, g, h)
+        return self._ite(f, g, h)
+
+    def _ite(self, f: int, g: int, h: int) -> int:
+        self.n_ite_calls += 1
+        if f == ONE:
+            self.n_ite_terminal += 1
+            return g
+        if f == ZERO:
+            self.n_ite_terminal += 1
+            return h
+        if g == h:
+            self.n_ite_terminal += 1
+            return g
+        if g == ONE and h == ZERO:
+            self.n_ite_terminal += 1
+            return f
+        key = (f, g, h)
+        cached = self._ite_cache.get(key)
+        if cached is not None:
+            self.n_ite_cache_hits += 1
+            return cached
+        levels = self._level
+        lf = levels[f]
+        lg = levels[g]
+        lh = levels[h]
+        level = lf
+        if lg < level:
+            level = lg
+        if lh < level:
+            level = lh
+        lows, highs = self._low, self._high
+        if lf == level:
+            f0, f1 = lows[f], highs[f]
+        else:
+            f0 = f1 = f
+        if lg == level:
+            g0, g1 = lows[g], highs[g]
+        else:
+            g0 = g1 = g
+        if lh == level:
+            h0, h1 = lows[h], highs[h]
+        else:
+            h0 = h1 = h
+        lo = self._ite(f0, g0, h0)
+        hi = self._ite(f1, g1, h1)
+        if lo == hi:
+            result = lo
+        else:
+            result = self._unique.get((level, lo, hi))
+            if result is None:
+                result = self._mk(level, lo, hi)
+        self._ite_cache[key] = result
+        return result
 
     def not_(self, f: int) -> int:
-        """¬f (an ITE against the terminals; memoised like any ITE)."""
         self._maybe_reorder()
-        return self._ite1(f, ZERO, ONE)
+        return self._not(f)
+
+    def _not(self, f: int) -> int:
+        if f == ZERO:
+            return ONE
+        if f == ONE:
+            return ZERO
+        cached = self._not_cache.get(f)
+        if cached is not None:
+            return cached
+        result = self._mk(
+            self._level[f], self._not(self._low[f]), self._not(self._high[f])
+        )
+        self._not_cache[f] = result
+        self._not_cache[result] = f
+        return result
 
     def and_(self, f: int, g: int) -> int:
         self._maybe_reorder()
-        return self._ite1(f, g, ZERO)
+        return self._ite(f, g, ZERO)
 
     def or_(self, f: int, g: int) -> int:
         self._maybe_reorder()
-        return self._ite1(f, ONE, g)
+        return self._ite(f, ONE, g)
 
     def xor(self, f: int, g: int) -> int:
         self._maybe_reorder()
-        return self._ite1(f, self._ite1(g, ZERO, ONE), g)
+        return self._ite(f, self._not(g), g)
 
     def implies(self, f: int, g: int) -> int:
         self._maybe_reorder()
-        return self._ite1(f, g, ONE)
+        return self._ite(f, g, ONE)
 
     def iff(self, f: int, g: int) -> int:
         self._maybe_reorder()
-        return self._ite1(f, g, self._ite1(g, ZERO, ONE))
+        return self._ite(f, g, self._not(g))
 
     def diff(self, f: int, g: int) -> int:
         """``f ∧ ¬g``."""
         self._maybe_reorder()
-        return self._ite1(g, ZERO, f)
+        return self._ite(g, ZERO, f)
 
     def and_all(self, fs: Iterable[int]) -> int:
-        """Conjunction, reduced as a balanced tree (one batched ITE round
-        per halving) — association does not change the canonical result."""
-        return self._reduce_all(list(fs), and_mode=True)
+        out = ONE
+        for f in fs:
+            out = self.and_(out, f)
+            if out == ZERO:
+                return ZERO
+        return out
 
     def or_all(self, fs: Iterable[int]) -> int:
-        """Disjunction, reduced as a balanced tree of batched ITE rounds."""
-        return self._reduce_all(list(fs), and_mode=False)
-
-    def _reduce_all(self, items: list[int], *, and_mode: bool) -> int:
-        self._maybe_reorder()
-        unit = ONE if and_mode else ZERO
-        absorb = ZERO if and_mode else ONE
-        items = [f for f in items if f != unit]
-        while len(items) > 1:
-            if any(f == absorb for f in items):
-                return absorb
-            k = len(items) // 2
-            if k < _SCALAR_CUTOFF:
-                if and_mode:
-                    red = [
-                        self._ite1(a, b, ZERO)
-                        for a, b in zip(items[:k], items[k : 2 * k])
-                    ]
-                else:
-                    red = [
-                        self._ite1(a, ONE, b)
-                        for a, b in zip(items[:k], items[k : 2 * k])
-                    ]
-                items = red + items[2 * k :]
-                continue
-            A = np.array(items[:k], dtype=np.int64)
-            B = np.array(items[k : 2 * k], dtype=np.int64)
-            if and_mode:
-                red = self._ite_many(A, B, np.zeros(k, dtype=np.int64))
-            else:
-                red = self._ite_many(A, np.ones(k, dtype=np.int64), B)
-            items = red.tolist() + items[2 * k :]
-        return int(items[0]) if items else unit
-
-    # ------------------------------------------------------------------
-    # generalised product engine (quantification + fused products)
-    # ------------------------------------------------------------------
-    # An operation descriptor is a level-space parameter struct
-    #   (shift, quant, out, top, swap_ok)
-    # shift: int64[n_vars+1] remapping the second operand's levels (virtual
-    #        rename during the product; identity when None),
-    # quant: bool[n_vars+1] marking quantified levels (reduce with OR),
-    # out:   int64[n_vars+1] remapping result levels (rel_product_post's
-    #        next->cur emission; identity when None),
-    # top:   deepest interesting level — below it the product degenerates to
-    #        a plain conjunction and is drained through the batched ITE.
-    # Descriptors are registered per (kind, level-args) key, so equal (f, g)
-    # pairs under different quantifier sets can never share a memo entry.
-
-    def _register_op(self, key: tuple, build) -> int:
-        oid = self._op_descr.get(key)
-        if oid is None:
-            oid = len(self._op_structs)
-            self._op_descr[key] = oid
-            self._op_structs.append(build())
-        return oid
-
-    def _quant_op(self, vs: frozenset[int]) -> int:
-        def build():
-            quant = np.zeros(self.n_vars + 1, dtype=bool)
-            quant[list(vs)] = True
-            return (None, quant, None, max(vs), True)
-        return self._register_op(("q", vs), build)
-
-    def _op_scalar_struct(self, op_id: int) -> tuple:
-        """Python-list twin of a descriptor struct (scalar fast paths)."""
-        s = self._op_scalar.get(op_id)
-        if s is None:
-            st = self._op_structs[op_id]
-            if isinstance(st[0], str) and st[0] == "rn":
-                s = ("rn", st[1].tolist(), st[2])
-            elif isinstance(st[0], str) and st[0] == "rs":
-                s = ("rs", st[1].tolist(), st[2].tolist(), st[3])
-            else:
-                shift, quant, out, top, swap_ok = st
-                s = (
-                    None if shift is None else shift.tolist(),
-                    quant.tolist(),
-                    None if out is None else out.tolist(),
-                    int(top),
-                    swap_ok,
-                )
-            self._op_scalar[op_id] = s
-        return s
-
-    def _product_scalar(
-        self, f: int, g: int, op_id: int, budget: int
-    ) -> tuple[int, int]:
-        """Depth-first scalar twin of :meth:`_product_many` for one root.
-
-        Same budget/fallback contract as :meth:`_ite_scalar`: a -1 result
-        means the budget ran out and the caller should rerun through the
-        BFS engine (which reuses the memo entries written so far).
-        """
-        shift, quant, out, top, swap_ok = self._op_scalar_struct(op_id)
-        levels, lows, highs = self._levels_l, self._lows_l, self._highs_l
-        memo = self._op_memo
-        md = memo.d
-        mo = memo.o
-        mlimit = memo.limit
-        ud = self._ut.d
-        n_lookups = n_hits = n_cross = 0
-        # ops stack: (0, f, g) = resolve/expand, (1, f, g, l) = reduce
-        ops: list[tuple] = [(0, f, g)]
-        res: list[int] = []
-        while ops:
-            fr = ops.pop()
-            if fr[0] == 0:
-                _, f, g = fr
-                if f == ZERO or g == ZERO:
-                    res.append(ZERO)
-                    continue
-                if f == ONE and g == ONE:
-                    res.append(ONE)
-                    continue
-                if swap_ok and f > g:
-                    f, g = g, f
-                n_lookups += 1
-                kt = (f, g, op_id)
-                r = md.get(kt)
-                if r is None and mo:
-                    r = mo.get(kt)
-                    if r is not None:
-                        md[kt] = r
-                        n_cross += 1
-                if r is not None:
-                    n_hits += 1
-                    res.append(r)
-                    continue
-                lf = levels[f]
-                lg = levels[g]
-                if shift is not None:
-                    lg = shift[lg]
-                l = lf if lf < lg else lg
-                if l > top:
-                    # below every quantified/shifted level: plain AND
-                    r, budget = self._ite_scalar(f, g, ZERO, budget)
-                    if r < 0:
-                        break
-                    if len(md) >= mlimit:
-                        memo.rotate()
-                    md[(f, g, op_id)] = r
-                    res.append(r)
-                    continue
-                budget -= 1
-                if budget < 0:
-                    break
-                if lf == l:
-                    f0, f1 = lows[f], highs[f]
-                else:
-                    f0 = f1 = f
-                if lg == l:
-                    g0, g1 = lows[g], highs[g]
-                else:
-                    g0 = g1 = g
-                ops.append((1, f, g, l))
-                ops.append((0, f1, g1))
-                ops.append((0, f0, g0))
-            else:
-                _, f, g, l = fr
-                hi = res.pop()
-                lo = res.pop()
-                if quant[l]:
-                    r, budget = self._ite_scalar(lo, ONE, hi, budget)
-                    if r < 0:
-                        break
-                else:
-                    ol = l if out is None else out[l]
-                    if lo == hi:
-                        r = lo
-                    else:
-                        r = ud.get((ol, lo, hi))
-                        if r is None:
-                            r = self._mk(ol, lo, hi)
-                if len(md) >= mlimit:
-                    memo.rotate()
-                md[(f, g, op_id)] = r
-                res.append(r)
-        else:
-            self.n_op_cache_lookups += n_lookups
-            self.n_op_cache_hits += n_hits
-            memo.crossop_hits += n_cross
-            return res[-1], budget
-        # budget exhausted (break): flush counters and signal the caller
-        self.n_op_cache_lookups += n_lookups
-        self.n_op_cache_hits += n_hits
-        memo.crossop_hits += n_cross
-        return -1, 0
-
-    def _product_rec(
-        self, f, g, op_id, shift, quant, out, top, swap_ok,
-        levels, lows, highs, md, memo, ud,
-    ):
-        """Recursive scalar product — the small-op fast path.
-
-        The product twin of :meth:`_ite_rec`: same ~2x-per-subproblem win
-        over the explicit-stack machine on the tiny relational products
-        the SCC/ranking fixpoints flood the kernel with, same shared
-        ``_rec_budget`` (quantified levels charge it through
-        :meth:`_ite_rec` as well) and the same :class:`_SpillToBFS`
-        contract for genuinely large operations."""
-        if f == ZERO or g == ZERO:
-            return ZERO
-        if f == ONE and g == ONE:
-            return ONE
-        if swap_ok and f > g:
-            f, g = g, f
-        self.n_op_cache_lookups += 1
-        kt = (f, g, op_id)
-        r = md.get(kt)
-        if r is None:
-            mo = memo.o
-            if mo:
-                r = mo.get(kt)
-                if r is not None:
-                    md[kt] = r
-                    memo.crossop_hits += 1
-        if r is not None:
-            self.n_op_cache_hits += 1
-            return r
-        lf = levels[f]
-        lg = levels[g]
-        if shift is not None:
-            lg = shift[lg]
-        l = lf if lf < lg else lg
-        if l > top:
-            # below every quantified/shifted level: plain AND
-            imemo = self._ite_memo
-            r = self._and_rec(
-                f, g, levels, lows, highs, imemo.d, imemo, ud
-            )
-            if len(md) >= memo.limit:
-                memo.rotate()
-            md[kt] = r
-            return r
-        b = self._rec_budget - 1
-        if b < 0:
-            raise _SpillToBFS
-        self._rec_budget = b
-        if lf == l:
-            f0, f1 = lows[f], highs[f]
-        else:
-            f0 = f1 = f
-        if lg == l:  # lg is g's level in the shifted view
-            g0, g1 = lows[g], highs[g]
-        else:
-            g0 = g1 = g
-        lo = self._product_rec(
-            f0, g0, op_id, shift, quant, out, top, swap_ok,
-            levels, lows, highs, md, memo, ud,
-        )
-        hi = self._product_rec(
-            f1, g1, op_id, shift, quant, out, top, swap_ok,
-            levels, lows, highs, md, memo, ud,
-        )
-        if quant[l]:
-            imemo = self._ite_memo
-            r = self._or_rec(
-                lo, hi, levels, lows, highs, imemo.d, imemo, ud
-            )
-        else:
-            ol = l if out is None else out[l]
-            if lo == hi:
-                r = lo
-            else:
-                r = ud.get((ol, lo, hi))
-                if r is None:
-                    r = self._mk(ol, lo, hi)
-        if len(md) >= memo.limit:
-            memo.rotate()
-        md[kt] = r
-        return r
-
-    def _product1(self, f: int, g: int, op_id: int) -> int:
-        """Product entry: scalar DFS first, BFS fallback for large ops.
-        Terminals and memo hits resolve inline, as in :meth:`_ite1`."""
-        if f == ZERO or g == ZERO:
-            return ZERO
-        if f == ONE and g == ONE:
-            return ONE
-        if self._op_scalar_struct(op_id)[4] and f > g:
-            f, g = g, f
-        memo = self._op_memo
-        kt = (f, g, op_id)
-        r = memo.d.get(kt)
-        if r is None and memo.o:
-            r = memo.o.get(kt)
-            if r is not None:
-                memo.d[kt] = r
-                memo.crossop_hits += 1
-        if r is not None:
-            self.n_op_cache_lookups += 1
-            self.n_op_cache_hits += 1
-            return r
-        if self._rec_ok:
-            shift, quant, out, top, swap_ok = self._op_scalar_struct(op_id)
-            self._rec_budget = self.scalar_budget
-            try:
-                return self._product_rec(
-                    f, g, op_id, shift, quant, out, top, swap_ok,
-                    self._levels_l, self._lows_l, self._highs_l,
-                    memo.d, memo, self._ut.d,
-                )
-            except _SpillToBFS:
-                return int(self._product_many([f], [g], op_id)[0])
-        r, _ = self._product_scalar(f, g, op_id, self.scalar_budget)
-        if r >= 0:
-            return r
-        return int(self._product_many([f], [g], op_id)[0])
-
-    def _product_many(self, F, G, op_id: int) -> np.ndarray:
-        """Resolve ``product_op(F[i], G[i])`` for all roots in one BFS.
-
-        Covers exists (G = ONE), and_exists, rel_product_pre (shifted G)
-        and rel_product_post (remapped output levels).  Requests that sink
-        below the descriptor's ``top`` level are plain conjunctions: they
-        are parked and drained through one batched ITE call, then the
-        bottom-up reduce runs OR at quantified levels and ``mk`` elsewhere.
-        """
-        shift, quant, out, top, swap_ok = self._op_structs[op_id]
-        nv = self.n_vars
-        levels, lows, highs = self._levels, self._lows, self._highs
-        memo = self._op_memo
-        F = np.asarray(F, dtype=np.int64)
-        G = np.asarray(G, dtype=np.int64)
-        nroot = len(F)
-        root_slot = np.empty(nroot, dtype=np.int64)
-
-        cap = 256
-        rf = np.empty(cap, dtype=np.int64)
-        rg = np.empty(cap, dtype=np.int64)
-        rc0 = np.empty(cap, dtype=np.int64)
-        rc1 = np.empty(cap, dtype=np.int64)
-        rres = np.empty(cap, dtype=np.int64)
-        n_store = 0
-        segs: list[tuple[int, int, int]] = []
-        # conjunction leaves: (f, g) pairs below `top` awaiting batched ITE
-        and_slots: list[np.ndarray] = []
-
-        def ensure_store(extra: int):
-            nonlocal cap, rf, rg, rc0, rc1, rres
-            if n_store + extra <= cap:
-                return
-            while cap < n_store + extra:
-                cap *= 2
-            rf = np.resize(rf, cap)
-            rg = np.resize(rg, cap)
-            rc0 = np.resize(rc0, cap)
-            rc1 = np.resize(rc1, cap)
-            rres = np.resize(rres, cap)
-
-        buckets: list[list | None] = [None] * (nv + 1)
-
-        def glevel(nodes):
-            gl = levels[nodes]
-            return gl if shift is None else shift[gl]
-
-        def enqueue(lv_arr, A, B, P, S):
-            for l in np.unique(lv_arr):
-                m = lv_arr == l
-                b = buckets[l]
-                if b is None:
-                    b = buckets[l] = []
-                b.append((A[m], B[m], P[m], S[m]))
-
-        lv_root = np.minimum(levels[F], glevel(G))
-        # below-top roots are plain conjunctions, bucket them at nv so the
-        # AND drain (which runs after the loop) still sees them
-        lv_root = np.where(lv_root > top, nv, lv_root)
-        enqueue(
-            lv_root, F, G,
-            -np.arange(1, nroot + 1, dtype=np.int64),
-            np.zeros(nroot, dtype=np.int64),
-        )
-
-        # NB: the inner `while` re-drains the current level.  A shifted
-        # second operand that already mentions next-state variables can
-        # enqueue a child at the *same* virtual level as its parent (cur
-        # level 2i shifts onto next level 2i+1, whose own levels shift to
-        # themselves); one pass per level would silently drop such
-        # children and leave dangling request slots.
-        for l in range(int(lv_root.min()), nv + 1):
-          while True:
-            chunks = buckets[l]
-            if not chunks:
-                break
-            buckets[l] = None
-            if len(chunks) == 1:
-                bf, bg, bp, bs = chunks[0]
-            else:
-                bf = np.concatenate([c[0] for c in chunks])
-                bg = np.concatenate([c[1] for c in chunks])
-                bp = np.concatenate([c[2] for c in chunks])
-                bs = np.concatenate([c[3] for c in chunks])
-            if swap_ok:
-                sw = bf > bg
-                if sw.any():
-                    bf, bg = np.where(sw, bg, bf), np.where(sw, bf, bg)
-            nb = len(bf)
-            beyond = l > top
-
-            # dedup (f, g)
-            order = np.lexsort((bg, bf))
-            sf, sg = bf[order], bg[order]
-            head = np.empty(nb, dtype=bool)
-            head[0] = True
-            head[1:] = (sf[1:] != sf[:-1]) | (sg[1:] != sg[:-1])
-            grp = np.cumsum(head) - 1
-            Fu, Gu = sf[head], sg[head]
-            nu = len(Fu)
-            self.n_op_cache_lookups += nu
-            res = np.full(nu, -1, dtype=np.int64)
-            m = (Fu == ZERO) | (Gu == ZERO)
-            res[m] = ZERO
-            m = (res < 0) & (Fu == ONE) & (Gu == ONE)
-            res[m] = ONE
-            un = res < 0
-            if un.any():
-                oid = np.full(int(np.count_nonzero(un)), op_id, dtype=np.int64)
-                probe = memo.get_many(Fu[un], Gu[un], oid)
-                hits = probe >= 0
-                self.n_op_cache_hits += int(np.count_nonzero(hits))
-                tmp = res[un]
-                tmp[hits] = probe[hits]
-                res[un] = tmp
-            base = n_store
-            ensure_store(nu)
-            rf[base : base + nu] = Fu
-            rg[base : base + nu] = Gu
-            rres[base : base + nu] = res
-            n_store += nu
-            segs.append((l, base, base + nu))
-            slots_sorted = base + grp
-            root_m = bp[order] < 0
-            if root_m.any():
-                root_slot[-(bp[order][root_m]) - 1] = slots_sorted[root_m]
-            pm = ~root_m
-            if pm.any():
-                pr = bp[order][pm]
-                sd = bs[order][pm]
-                sl = slots_sorted[pm]
-                c0 = sd == 0
-                rc0[pr[c0]] = sl[c0]
-                rc1[pr[~c0]] = sl[~c0]
-            unres = res < 0
-            if not unres.any():
-                continue
-            pidx = base + np.nonzero(unres)[0]
-            if beyond:
-                # plain conjunctions: drain through batched ITE afterwards
-                and_slots.append(pidx)
-                continue
-            Fe, Ge = Fu[unres], Gu[unres]
-            lf = levels[Fe]
-            lg = glevel(Ge)
-            F0 = np.where(lf == l, lows[Fe], Fe)
-            F1 = np.where(lf == l, highs[Fe], Fe)
-            G0 = np.where(lg == l, lows[Ge], Ge)
-            G1 = np.where(lg == l, highs[Ge], Ge)
-            zero_side = np.zeros(len(pidx), dtype=np.int64)
-            one_side = np.ones(len(pidx), dtype=np.int64)
-            lv0 = np.minimum(levels[F0], glevel(G0))
-            lv0 = np.where(lv0 > top, nv, lv0)
-            enqueue(lv0, F0, G0, pidx, zero_side)
-            lv1 = np.minimum(levels[F1], glevel(G1))
-            lv1 = np.where(lv1 > top, nv, lv1)
-            enqueue(lv1, F1, G1, pidx, one_side)
-
-        if and_slots:
-            idx = np.concatenate(and_slots)
-            rres[idx] = self._ite_many(
-                rf[idx], rg[idx], np.zeros(len(idx), dtype=np.int64)
-            )
-            oid = np.full(len(idx), op_id, dtype=np.int64)
-            memo.put_many(rf[idx], rg[idx], oid, rres[idx])
-
-        for l, s, e in reversed(segs):
-            pend = rres[s:e] < 0
-            if not pend.any():
-                continue
-            idx = s + np.nonzero(pend)[0]
-            lo = rres[rc0[idx]]
-            hi = rres[rc1[idx]]
-            if quant[l]:
-                rres[idx] = self._ite_many(
-                    lo, np.ones(len(idx), dtype=np.int64), hi
-                )
-            else:
-                ol = l if out is None else int(out[l])
-                rres[idx] = self._mk_many(ol, lo, hi)
-            oid = np.full(len(idx), op_id, dtype=np.int64)
-            memo.put_many(rf[idx], rg[idx], oid, rres[idx])
-
-        return rres[root_slot]
+        out = ZERO
+        for f in fs:
+            out = self.or_(out, f)
+            if out == ONE:
+                return ONE
+        return out
 
     # ------------------------------------------------------------------
     # quantification / substitution
@@ -1542,68 +353,100 @@ class BDD:
         """∃ variables . f  (variables given as variable indices)."""
         self._maybe_reorder()
         vs = self._to_levels(variables)
-        if not vs or f <= ONE:
+        if not vs:
             return f
-        op = self._quant_op(vs)
-        return self._product1(f, ONE, op)
+        return self._exists(f, vs, max(vs))
+
+    def _exists(self, f: int, vs: frozenset[int], top: int) -> int:
+        if f <= ONE or self._level[f] > top:
+            return f
+        key = ("ex", f, vs)
+        self.n_op_cache_lookups += 1
+        cached = self._op_cache.get(key)
+        if cached is not None:
+            self.n_op_cache_hits += 1
+            return cached
+        level = self._level[f]
+        lo = self._exists(self._low[f], vs, top)
+        hi = self._exists(self._high[f], vs, top)
+        if level in vs:
+            result = self._ite(lo, ONE, hi)
+        else:
+            result = self._mk(level, lo, hi)
+        self._op_cache[key] = result
+        return result
 
     def forall(self, variables: Iterable[int], f: int) -> int:
         """∀ variables . f."""
         self._maybe_reorder()
         vs = self._to_levels(variables)
-        if not vs or f <= ONE:
+        if not vs:
             return f
-        op = self._quant_op(vs)
-        nf = self._ite1(f, ZERO, ONE)
-        return self._ite1(self._product1(nf, ONE, op), ZERO, ONE)
+        return self._not(self._exists(self._not(f), vs, max(vs)))
 
     def and_exists(self, f: int, g: int, variables: Iterable[int]) -> int:
         """∃ variables . (f ∧ g) without building the full conjunction."""
         self._maybe_reorder()
         vs = self._to_levels(variables)
         if not vs:
-            return self._ite1(f, g, ZERO)
-        op = self._quant_op(vs)
-        return self._product1(f, g, op)
+            return self._ite(f, g, ZERO)
+        return self._and_exists(f, g, vs, max(vs))
+
+    def _and_exists(self, f: int, g: int, vs: frozenset[int], top: int) -> int:
+        if f == ZERO or g == ZERO:
+            return ZERO
+        if f == ONE and g == ONE:
+            return ONE
+        if f == ONE or g == ONE or f == g:
+            h = g if f == ONE else f if g == ONE else f
+            return self._exists(h, vs, top)
+        if f > g:  # canonicalise the commuting operands for the cache
+            f, g = g, f
+        # Audit note: the quantified level-set ``vs`` is part of the key —
+        # equal (f, g) pairs under different quantification sets MUST miss.
+        key = ("ae", f, g, vs)
+        self.n_op_cache_lookups += 1
+        cached = self._op_cache.get(key)
+        if cached is not None:
+            self.n_op_cache_hits += 1
+            return cached
+        levels = self._level
+        lf = levels[f]
+        lg = levels[g]
+        level = lf if lf < lg else lg
+        if level > top:
+            result = self._ite(f, g, ZERO)
+        else:
+            lows, highs = self._low, self._high
+            if lf == level:
+                f0, f1 = lows[f], highs[f]
+            else:
+                f0 = f1 = f
+            if lg == level:
+                g0, g1 = lows[g], highs[g]
+            else:
+                g0 = g1 = g
+            lo = self._and_exists(f0, g0, vs, top)
+            if level in vs:
+                if lo == ONE:
+                    result = ONE
+                else:
+                    hi = self._and_exists(f1, g1, vs, top)
+                    result = self._ite(lo, ONE, hi)
+            else:
+                hi = self._and_exists(f1, g1, vs, top)
+                if lo == hi:
+                    result = lo
+                else:
+                    result = self._unique.get((level, lo, hi))
+                    if result is None:
+                        result = self._mk(level, lo, hi)
+        self._op_cache[key] = result
+        return result
 
     # ------------------------------------------------------------------
     # fused relational products (partitioned image computation)
     # ------------------------------------------------------------------
-    def _relprod_args(self, pairs: tuple) -> tuple:
-        """Pre/post op ids for a write set (cached per write set — the
-        descriptors are level-space, rebuilt only after a reorder)."""
-        cached = self._relprod_args_cache.get(pairs)
-        if cached is None:
-            if not pairs:
-                cached = (None, None)
-            else:
-                v2l = self._var2level
-                nv = self.n_vars
-                shift_map = {v2l[c]: v2l[n] for c, n in pairs}
-                key_id = tuple(sorted(shift_map.items()))
-
-                def build_pre():
-                    shift = np.arange(nv + 1, dtype=np.int64)
-                    quant = np.zeros(nv + 1, dtype=bool)
-                    for c, n in shift_map.items():
-                        shift[c] = n
-                        quant[n] = True
-                    return (shift, quant, None, int(max(shift_map.values())), False)
-
-                def build_post():
-                    quant = np.zeros(nv + 1, dtype=bool)
-                    out = np.arange(nv + 1, dtype=np.int64)
-                    for c, n in shift_map.items():
-                        quant[c] = True
-                        out[n] = c
-                    return (None, quant, out, int(max(shift_map.values())), True)
-
-                pre = self._register_op(("pp", key_id), build_pre)
-                post = self._register_op(("po", key_id), build_post)
-                cached = (pre, post)
-            self._relprod_args_cache[pairs] = cached
-        return cached
-
     def rel_product_pre(
         self, rel: int, states: int, pairs: Iterable[tuple[int, int]]
     ) -> int:
@@ -1611,18 +454,101 @@ class BDD:
 
         The preimage of ``states`` under a frameless partition whose write
         set is ``pairs = ((cur_var, next_var), ...)``: the rename of the
-        written bits is performed *virtually* during the product (the
-        descriptor's level shift), so neither the shifted copy of
-        ``states`` nor the unquantified conjunction is ever materialised.
-        ``pairs`` must be order-preserving w.r.t. the current level order
-        (the interleaved cur/next pairing guarantees this, also after a
-        block reorder).
+        written bits is performed *virtually* during the product recursion,
+        so neither the shifted copy of ``states`` nor the unquantified
+        conjunction is ever materialised.  ``pairs`` must be
+        order-preserving w.r.t. the current level order (the interleaved
+        cur/next pairing guarantees this, also after a block reorder).
         """
         self._maybe_reorder()
         pre, _post = self._relprod_args(tuple(pairs))
         if pre is None:
-            return self._ite1(rel, states, ZERO)
-        return self._product1(rel, states, pre)
+            return self._ite(rel, states, ZERO)
+        shift, vs, top, key_id = pre
+        return self._rel_pre(rel, states, shift, vs, top, key_id)
+
+    def _relprod_args(self, pairs: tuple) -> tuple:
+        """Level-space argument structs for the fused products (cached per
+        write set — rebuilt only after a reorder moves levels)."""
+        cached = self._relprod_args_cache.get(pairs)
+        if cached is None:
+            if not pairs:
+                cached = (None, None)
+            else:
+                v2l = self._var2level
+                shift = {v2l[c]: v2l[n] for c, n in pairs}
+                vs_pre = frozenset(shift.values())
+                pre = (
+                    shift,
+                    vs_pre,
+                    max(vs_pre),
+                    tuple(sorted(shift.items())),
+                )
+                vs_post = frozenset(shift.keys())
+                out_map = {n: c for c, n in shift.items()}
+                post = (
+                    vs_post,
+                    out_map,
+                    max(out_map),
+                    tuple(sorted(out_map.items())),
+                )
+                cached = (pre, post)
+            self._relprod_args_cache[pairs] = cached
+        return cached
+
+    def _rel_pre(
+        self,
+        f: int,
+        g: int,
+        shift: dict[int, int],
+        vs: frozenset[int],
+        top: int,
+        key_id: tuple,
+    ) -> int:
+        if f == ZERO or g == ZERO:
+            return ZERO
+        if f == ONE and g == ONE:
+            return ONE
+        levels = self._level
+        lf = levels[f]
+        glevel = levels[g]
+        gv = shift.get(glevel, glevel)
+        level = lf if lf < gv else gv
+        if level > top:
+            # below every shifted/quantified level: plain conjunction
+            return self._ite(f, g, ZERO)
+        key = ("pp", f, g, key_id)
+        self.n_op_cache_lookups += 1
+        cached = self._op_cache.get(key)
+        if cached is not None:
+            self.n_op_cache_hits += 1
+            return cached
+        lows, highs = self._low, self._high
+        if lf == level:
+            f0, f1 = lows[f], highs[f]
+        else:
+            f0 = f1 = f
+        if gv == level:
+            g0, g1 = lows[g], highs[g]
+        else:
+            g0 = g1 = g
+        lo = self._rel_pre(f0, g0, shift, vs, top, key_id)
+        if level in vs:
+            if lo == ONE:
+                result = ONE
+            else:
+                hi = self._rel_pre(f1, g1, shift, vs, top, key_id)
+                result = self._ite(lo, ONE, hi)
+        else:
+            hi = self._rel_pre(f1, g1, shift, vs, top, key_id)
+            if lo == hi:
+                result = lo
+            else:
+                result = self._unique.get((level, lo, hi))
+                if result is None:
+                    result = self._mk(level, lo, hi)
+        self._op_cache[key] = result
+        return result
 
     def rel_product_post(
         self, rel: int, states: int, pairs: Iterable[tuple[int, int]]
@@ -1630,21 +556,79 @@ class BDD:
         """``(∃ cur . rel ∧ states)[next → cur]`` in one traversal.
 
         The postimage of ``states`` under a frameless partition with write
-        set ``pairs``: written current bits are quantified and written next
-        bits are emitted at their current-bit position (the descriptor's
-        output map) during the same product, so the intermediate next-bit
-        image is never materialised.  Same ordering contract as
+        set ``pairs``: the written current bits are quantified and the
+        written next bits are emitted at their current-bit position during
+        the same product recursion, so the intermediate next-bits image is
+        never materialised.  Same ordering contract as
         :meth:`rel_product_pre`.
         """
         self._maybe_reorder()
         _pre, post = self._relprod_args(tuple(pairs))
         if post is None:
-            return self._ite1(rel, states, ZERO)
-        return self._product1(rel, states, post)
+            return self._ite(rel, states, ZERO)
+        vs, out_map, top, key_id = post
+        return self._rel_post(rel, states, vs, out_map, top, key_id)
+
+    def _rel_post(
+        self,
+        f: int,
+        g: int,
+        vs: frozenset[int],
+        out_map: dict[int, int],
+        top: int,
+        key_id: tuple,
+    ) -> int:
+        if f == ZERO or g == ZERO:
+            return ZERO
+        if f == ONE and g == ONE:
+            return ONE
+        levels = self._level
+        lf = levels[f]
+        lg = levels[g]
+        level = lf if lf < lg else lg
+        if level > top:
+            return self._ite(f, g, ZERO)
+        key = ("po", f, g, key_id)
+        self.n_op_cache_lookups += 1
+        cached = self._op_cache.get(key)
+        if cached is not None:
+            self.n_op_cache_hits += 1
+            return cached
+        lows, highs = self._low, self._high
+        if lf == level:
+            f0, f1 = lows[f], highs[f]
+        else:
+            f0 = f1 = f
+        if lg == level:
+            g0, g1 = lows[g], highs[g]
+        else:
+            g0 = g1 = g
+        lo = self._rel_post(f0, g0, vs, out_map, top, key_id)
+        if level in vs:
+            if lo == ONE:
+                result = ONE
+            else:
+                hi = self._rel_post(f1, g1, vs, out_map, top, key_id)
+                result = self._ite(lo, ONE, hi)
+        else:
+            hi = self._rel_post(f1, g1, vs, out_map, top, key_id)
+            if lo == hi:
+                result = lo
+            else:
+                out_level = out_map.get(level, level)
+                result = self._unique.get((out_level, lo, hi))
+                if result is None:
+                    result = self._mk(out_level, lo, hi)
+        self._op_cache[key] = result
+        return result
 
     # ------------------------------------------------------------------
-    # fused multi-relation image operators (union over partition clusters)
+    # fused multi-relation image operators
     # ------------------------------------------------------------------
+    # One union image per call: the per-relation products are or-ed
+    # together and the ``constrain``/``subtract`` window is applied to each
+    # product (distributivity), so no unwindowed union is ever built.
+
     def rel_product_pre_many(
         self,
         items: Iterable[tuple[int, Iterable[tuple[int, int]]]],
@@ -1653,21 +637,7 @@ class BDD:
         constrain: int | None = None,
         subtract: int | None = None,
     ) -> int:
-        """Union preimage over several frameless partitions in one sweep.
-
-        ``items`` is a sequence of ``(rel, pairs)`` clusters (the write
-        sets may differ per cluster); the result is
-        ``(∨_j pre(rel_j, states)) ∧ constrain ∖ subtract``.  The
-        constraining window is fused in per disjunct — the unconstrained
-        union is never materialised, which is what keeps the fixpoint
-        frontiers of the SCC/ranking algorithms from flooding the kernel
-        with large intermediates.  Small clusters run through the scalar
-        product machine under one *shared* work budget; the moment the
-        budget exhausts, every remaining cluster is swept by a single
-        multi-op two-phase BFS (:meth:`_product_many_ops`), which reuses
-        the subresults the aborted scalar runs already memoised.
-        """
-        self._maybe_reorder()
+        """``(∨_j pre(rel_j, states)) ∧ constrain ∖ subtract`` (composed)."""
         return self._rel_union_many(
             items, states, pre=True, constrain=constrain, subtract=subtract
         )
@@ -1680,14 +650,7 @@ class BDD:
         constrain: int | None = None,
         subtract: int | None = None,
     ) -> int:
-        """Union postimage over several frameless partitions in one sweep.
-
-        The post twin of :meth:`rel_product_pre_many`:
-        ``(∨_j post(rel_j, states)) ∧ constrain ∖ subtract`` with the
-        window fused per disjunct and the same shared-budget scalar /
-        batched-BFS split.
-        """
-        self._maybe_reorder()
+        """``(∨_j post(rel_j, states)) ∧ constrain ∖ subtract`` (composed)."""
         return self._rel_union_many(
             items, states, pre=False, constrain=constrain, subtract=subtract
         )
@@ -1699,334 +662,70 @@ class BDD:
             return ZERO
         window = None
         if constrain is not None and subtract is not None:
-            # (p ∧ C) ∖ D == p ∧ (C ∖ D): one (usually small) window BDD
-            # instead of two passes over every disjunct.  In the ranking
-            # fixpoint the window is exactly the unexplored valid states.
-            window = self._ite1(subtract, ZERO, constrain)
+            window = self._ite(subtract, ZERO, constrain)
             subtract = None
         elif constrain is not None:
             window = constrain
         if window == ZERO:
             return ZERO
         self.n_relprod_many += 1
-        sel = 0 if pre else 1
-        parts: list[int] = []
-        jobs: list[tuple[int, int]] = []
+        image = self.rel_product_pre if pre else self.rel_product_post
+        out = ZERO
         for rel, pairs in items:
             if rel == ZERO:
                 continue
-            op = self._relprod_args(tuple(pairs))[sel]
-            if op is None:
-                # empty write set: the product degenerates to a plain AND
-                parts.append(self._ite1(rel, states, ZERO))
-            else:
-                jobs.append((rel, op))
-        budget = self.scalar_budget
-        spill: list[tuple[int, int]] = []
-        memo = self._op_memo
-        use_rec = self._rec_ok
-        if use_rec:
-            # one shared recursion budget across the whole cluster batch,
-            # mirroring the shared machine budget below
-            self._rec_budget = budget
-            levels_l, lows_l, highs_l = (
-                self._levels_l, self._lows_l, self._highs_l,
-            )
-            ud = self._ut.d
-        for rel, op in jobs:
-            if spill:
-                spill.append((rel, op))
-                continue
-            if use_rec:
-                shift, quant, out, top, swap_ok = self._op_scalar_struct(op)
-                try:
-                    parts.append(
-                        self._product_rec(
-                            rel, states, op, shift, quant, out, top,
-                            swap_ok, levels_l, lows_l, highs_l,
-                            memo.d, memo, ud,
-                        )
-                    )
-                except _SpillToBFS:
-                    spill.append((rel, op))
-                continue
-            f, g = rel, states
-            if self._op_scalar_struct(op)[4] and f > g:
-                f, g = g, f
-            self.n_op_cache_lookups += 1
-            r = memo.get(f, g, op)
-            if r >= 0:
-                self.n_op_cache_hits += 1
-                parts.append(r)
-                continue
-            r, budget = self._product_scalar(f, g, op, budget)
-            if r >= 0:
-                parts.append(r)
-            else:
-                spill.append((rel, op))
-        if spill:
-            # shared budget exhausted: the remaining clusters are genuinely
-            # large — sweep them all in one multi-op BFS
-            self.n_relprod_many_bfs += 1
-            F = np.array([rel for rel, _ in spill], dtype=np.int64)
-            G = np.full(len(spill), states, dtype=np.int64)
-            O = np.array([op for _, op in spill], dtype=np.int64)
-            parts.extend(int(r) for r in self._product_many_ops(F, G, O))
-        out = self._reduce_all(parts, and_mode=False)
-        # distributivity: (⋁ pᵢ) ∧ W == ⋁ (pᵢ ∧ W) — one window op on the
-        # reduced union instead of one per disjunct
-        if window is not None:
-            out = self._ite1(out, window, ZERO)
-        elif subtract is not None:
-            out = self._ite1(subtract, ZERO, out)
+            p = image(rel, states, pairs)
+            if window is not None:
+                p = self._ite(p, window, ZERO)
+            elif subtract is not None:
+                p = self._ite(subtract, ZERO, p)
+            out = self._ite(p, ONE, out)
         return out
 
-    def _product_many_ops(self, F, G, O) -> np.ndarray:
-        """Resolve ``product(O[i])(F[i], G[i])`` for all roots in one BFS.
-
-        The multi-op twin of :meth:`_product_many` behind the fused union
-        images: every descriptor parameter becomes a per-request column,
-        so partition clusters with *different* write sets share one
-        two-phase sweep.  Levels are bucketed on each request's own
-        shifted view of its second operand, the dedup/memo key is
-        ``(f, g, op)``, and the bottom-up reduce applies each slot's own
-        quantify/output maps.  Requests of different ops that meet at one
-        level still batch into single unique-table and memo probes — the
-        point of fusing the per-cluster loop.
-        """
-        nv = self.n_vars
-        levels, lows, highs = self._levels, self._lows, self._highs
-        memo = self._op_memo
-        F = np.asarray(F, dtype=np.int64)
-        G = np.asarray(G, dtype=np.int64)
-        O = np.asarray(O, dtype=np.int64)
-        nroot = len(F)
-        root_slot = np.empty(nroot, dtype=np.int64)
-
-        # compact per-op parameter matrices (few ops, nv+1 level columns)
-        uops = np.unique(O)
-        ident = np.arange(nv + 1, dtype=np.int64)
-        nops = len(uops)
-        SH = np.empty((nops, nv + 1), dtype=np.int64)
-        QU = np.zeros((nops, nv + 1), dtype=bool)
-        OUT = np.empty((nops, nv + 1), dtype=np.int64)
-        TOP = np.empty(nops, dtype=np.int64)
-        SW = np.zeros(nops, dtype=bool)
-        for x, op in enumerate(uops.tolist()):
-            shift, quant, out, top, swap_ok = self._op_structs[op]
-            SH[x] = ident if shift is None else shift
-            QU[x] = quant
-            OUT[x] = ident if out is None else out
-            TOP[x] = top
-            SW[x] = swap_ok
-        X = np.searchsorted(uops, O)
-
-        cap = 256
-        rf = np.empty(cap, dtype=np.int64)
-        rg = np.empty(cap, dtype=np.int64)
-        rx = np.empty(cap, dtype=np.int64)
-        rc0 = np.empty(cap, dtype=np.int64)
-        rc1 = np.empty(cap, dtype=np.int64)
-        rres = np.empty(cap, dtype=np.int64)
-        n_store = 0
-        segs: list[tuple[int, int, int]] = []
-        # conjunction leaves: slots below their op's `top`, drained batched
-        and_slots: list[np.ndarray] = []
-
-        def ensure_store(extra: int):
-            nonlocal cap, rf, rg, rx, rc0, rc1, rres
-            if n_store + extra <= cap:
-                return
-            while cap < n_store + extra:
-                cap *= 2
-            rf = np.resize(rf, cap)
-            rg = np.resize(rg, cap)
-            rx = np.resize(rx, cap)
-            rc0 = np.resize(rc0, cap)
-            rc1 = np.resize(rc1, cap)
-            rres = np.resize(rres, cap)
-
-        buckets: list[list | None] = [None] * (nv + 1)
-
-        def enqueue(lv_arr, A, B, Xa, P, S):
-            for l in np.unique(lv_arr):
-                m = lv_arr == l
-                b = buckets[l]
-                if b is None:
-                    b = buckets[l] = []
-                b.append((A[m], B[m], Xa[m], P[m], S[m]))
-
-        lv_root = np.minimum(levels[F], SH[X, levels[G]])
-        # below each op's top the product is a plain conjunction; bucket at
-        # nv so the AND drain still sees those roots
-        lv_root = np.where(lv_root > TOP[X], nv, lv_root)
-        enqueue(
-            lv_root, F, G, X,
-            -np.arange(1, nroot + 1, dtype=np.int64),
-            np.zeros(nroot, dtype=np.int64),
-        )
-
-        # Same re-drain contract as _product_many: a shifted operand can
-        # enqueue a child at its parent's virtual level.
-        for l in range(int(lv_root.min()), nv + 1):
-          while True:
-            chunks = buckets[l]
-            if not chunks:
-                break
-            buckets[l] = None
-            if len(chunks) == 1:
-                bf, bg, bx, bp, bs = chunks[0]
-            else:
-                bf = np.concatenate([c[0] for c in chunks])
-                bg = np.concatenate([c[1] for c in chunks])
-                bx = np.concatenate([c[2] for c in chunks])
-                bp = np.concatenate([c[3] for c in chunks])
-                bs = np.concatenate([c[4] for c in chunks])
-            sw = SW[bx] & (bf > bg)
-            if sw.any():
-                bf, bg = np.where(sw, bg, bf), np.where(sw, bf, bg)
-            nb = len(bf)
-
-            # dedup (f, g, op)
-            order = np.lexsort((bg, bf, bx))
-            sf, sg, sx = bf[order], bg[order], bx[order]
-            head = np.empty(nb, dtype=bool)
-            head[0] = True
-            head[1:] = (
-                (sf[1:] != sf[:-1]) | (sg[1:] != sg[:-1]) | (sx[1:] != sx[:-1])
-            )
-            grp = np.cumsum(head) - 1
-            Fu, Gu, Xu = sf[head], sg[head], sx[head]
-            nu = len(Fu)
-            self.n_op_cache_lookups += nu
-            res = np.full(nu, -1, dtype=np.int64)
-            m = (Fu == ZERO) | (Gu == ZERO)
-            res[m] = ZERO
-            m = (res < 0) & (Fu == ONE) & (Gu == ONE)
-            res[m] = ONE
-            un = res < 0
-            if un.any():
-                probe = memo.get_many(Fu[un], Gu[un], uops[Xu[un]])
-                hits = probe >= 0
-                self.n_op_cache_hits += int(np.count_nonzero(hits))
-                tmp = res[un]
-                tmp[hits] = probe[hits]
-                res[un] = tmp
-            base = n_store
-            ensure_store(nu)
-            rf[base : base + nu] = Fu
-            rg[base : base + nu] = Gu
-            rx[base : base + nu] = Xu
-            rres[base : base + nu] = res
-            n_store += nu
-            segs.append((l, base, base + nu))
-            slots_sorted = base + grp
-            root_m = bp[order] < 0
-            if root_m.any():
-                root_slot[-(bp[order][root_m]) - 1] = slots_sorted[root_m]
-            pm = ~root_m
-            if pm.any():
-                pr = bp[order][pm]
-                sd = bs[order][pm]
-                sl = slots_sorted[pm]
-                c0 = sd == 0
-                rc0[pr[c0]] = sl[c0]
-                rc1[pr[~c0]] = sl[~c0]
-            unres = res < 0
-            if not unres.any():
-                continue
-            pidx = base + np.nonzero(unres)[0]
-            beyond = l > TOP[Xu[unres]]
-            if beyond.any():
-                and_slots.append(pidx[beyond])
-            expand = ~beyond
-            if not expand.any():
-                continue
-            pidx = pidx[expand]
-            Fe, Ge, Xe = Fu[unres][expand], Gu[unres][expand], Xu[unres][expand]
-            lf = levels[Fe]
-            lg = SH[Xe, levels[Ge]]
-            F0 = np.where(lf == l, lows[Fe], Fe)
-            F1 = np.where(lf == l, highs[Fe], Fe)
-            G0 = np.where(lg == l, lows[Ge], Ge)
-            G1 = np.where(lg == l, highs[Ge], Ge)
-            zero_side = np.zeros(len(pidx), dtype=np.int64)
-            one_side = np.ones(len(pidx), dtype=np.int64)
-            lv0 = np.minimum(levels[F0], SH[Xe, levels[G0]])
-            lv0 = np.where(lv0 > TOP[Xe], nv, lv0)
-            enqueue(lv0, F0, G0, Xe, pidx, zero_side)
-            lv1 = np.minimum(levels[F1], SH[Xe, levels[G1]])
-            lv1 = np.where(lv1 > TOP[Xe], nv, lv1)
-            enqueue(lv1, F1, G1, Xe, pidx, one_side)
-
-        if and_slots:
-            idx = np.concatenate(and_slots)
-            rres[idx] = self._ite_many(
-                rf[idx], rg[idx], np.zeros(len(idx), dtype=np.int64)
-            )
-            memo.put_many(rf[idx], rg[idx], uops[rx[idx]], rres[idx])
-
-        for l, s, e in reversed(segs):
-            pend = rres[s:e] < 0
-            if not pend.any():
-                continue
-            idx = s + np.nonzero(pend)[0]
-            lo = rres[rc0[idx]]
-            hi = rres[rc1[idx]]
-            xm = rx[idx]
-            qm = QU[xm, l]
-            if qm.any():
-                rres[idx[qm]] = self._ite_many(
-                    lo[qm],
-                    np.ones(int(np.count_nonzero(qm)), dtype=np.int64),
-                    hi[qm],
-                )
-            mm = ~qm
-            if mm.any():
-                rest = idx[mm]
-                lor, hir = lo[mm], hi[mm]
-                ols = OUT[xm[mm], l]
-                for ol in np.unique(ols).tolist():
-                    m = ols == ol
-                    rres[rest[m]] = self._mk_many(int(ol), lor[m], hir[m])
-            memo.put_many(rf[idx], rg[idx], uops[rx[idx]], rres[idx])
-
-        return rres[root_slot]
-
-    # ------------------------------------------------------------------
-    # rename / restrict (unary BFS engines)
-    # ------------------------------------------------------------------
     def rename(self, f: int, mapping: dict[int, int]) -> int:
         """Substitute variables: ``mapping[old_var] = new_var``.
 
         Requires the mapping to be order-preserving w.r.t. the current
-        level order (which the interleaved current/next encoding
-        guarantees, also for subsets of the current/next pairing), so the
-        substitution is a single linear traversal.  The bottom-up reduce
-        additionally checks, node by node, that the result respects the
-        level order — a mapping that is pairwise monotone but moves a
-        variable past an *unmapped* variable in ``f``'s support (e.g.
-        ``{0: 3}`` on ``x0 ∧ x1``) raises ``ValueError`` instead of
-        silently corrupting the unique table.
+        level order (which the interleaved current/next encoding guarantees,
+        also for subsets of the current/next pairing), so the substitution
+        is a single linear traversal.  The traversal additionally checks,
+        node by node, that the result respects the level order — a mapping
+        that is pairwise monotone but moves a variable past an *unmapped*
+        variable in ``f``'s support (e.g. ``{0: 3}`` on ``x0 ∧ x1``) is
+        rejected instead of silently corrupting the unique table.
         """
         self._maybe_reorder()
         if not mapping:
             return f
         v2l = self._var2level
         level_map = {v2l[a]: v2l[b] for a, b in mapping.items()}
-        items = tuple(sorted(level_map.items()))
+        items = sorted(level_map.items())
         for (a0, b0), (a1, b1) in zip(items, items[1:]):
             if not (a0 < a1 and b0 < b1):
                 raise ValueError("rename mapping must be order-preserving")
+        key = ("rn", f, tuple(items))
+        return self._rename(f, dict(items), key)
 
-        def build():
-            lmap = np.arange(self.n_vars + 1, dtype=np.int64)
-            for a, b in items:
-                lmap[a] = b
-            return ("rn", lmap, max(a for a, _ in items))
-
-        op = self._register_op(("rn", items), build)
-        return self._unary1(f, op)
+    def _rename(self, f: int, mapping: dict[int, int], key) -> int:
+        if f <= ONE:
+            return f
+        self.n_op_cache_lookups += 1
+        cached = self._op_cache.get(key)
+        if cached is not None:
+            self.n_op_cache_hits += 1
+            return cached
+        level = self._level[f]
+        new_level = mapping.get(level, level)
+        lo = self._rename(self._low[f], mapping, ("rn", self._low[f], key[2]))
+        hi = self._rename(self._high[f], mapping, ("rn", self._high[f], key[2]))
+        if new_level >= min(self._level[lo], self._level[hi]):
+            raise ValueError(
+                "rename mapping moves a variable past another variable in "
+                "the operand's support"
+            )
+        result = self._mk(new_level, lo, hi)
+        self._op_cache[key] = result
+        return result
 
     def restrict(self, f: int, assignments: dict[int, bool]) -> int:
         """Cofactor: fix each variable in ``assignments`` to a constant."""
@@ -2036,294 +735,43 @@ class BDD:
         v2l = self._var2level
         level_map = {v2l[v]: bool(b) for v, b in assignments.items()}
         items = tuple(sorted(level_map.items()))
+        return self._restrict(f, level_map, items)
 
-        def build():
-            assigned = np.zeros(self.n_vars + 1, dtype=bool)
-            val = np.zeros(self.n_vars + 1, dtype=bool)
-            for a, b in items:
-                assigned[a] = True
-                val[a] = b
-            return ("rs", assigned, val, max(a for a, _ in items))
-
-        op = self._register_op(("rs", items), build)
-        return self._unary1(f, op)
-
-    def _unary_scalar(self, f: int, op_id: int, budget: int) -> tuple[int, int]:
-        """Depth-first scalar twin of :meth:`_unary_many` for one root.
-
-        Same budget/fallback contract as :meth:`_ite_scalar`.  The list
-        mirrors have stable identity across store growth, so the rename
-        order-validation can read freshly built children through the same
-        captured locals.
-        """
-        struct = self._op_scalar_struct(op_id)
-        kind = struct[0]
-        if kind == "rn":
-            _, lmap, top = struct
-            assigned = val = None
+    def _restrict(
+        self, f: int, assignments: dict[int, bool], items: tuple
+    ) -> int:
+        if f <= ONE:
+            return f
+        key = ("rs", f, items)
+        self.n_op_cache_lookups += 1
+        cached = self._op_cache.get(key)
+        if cached is not None:
+            self.n_op_cache_hits += 1
+            return cached
+        level = self._level[f]
+        if level in assignments:
+            branch = self._high[f] if assignments[level] else self._low[f]
+            result = self._restrict(branch, assignments, items)
         else:
-            _, assigned, val, top = struct
-            lmap = None
-        levels, lows, highs = self._levels_l, self._lows_l, self._highs_l
-        memo = self._op_memo
-        md = memo.d
-        mo = memo.o
-        mlimit = memo.limit
-        n_lookups = n_hits = n_cross = 0
-        # ops stack: (0, f) = resolve/expand, (1, f, l) = binary reduce,
-        # (2, f) = copy-through reduce (restrict at an assigned level)
-        ops: list[tuple] = [(0, f)]
-        res: list[int] = []
-        while ops:
-            fr = ops.pop()
-            tag = fr[0]
-            if tag == 0:
-                f = fr[1]
-                if f <= ONE:
-                    res.append(f)
-                    continue
-                l = levels[f]
-                if l > top:
-                    # below the deepest mapped/assigned level: unchanged
-                    res.append(f)
-                    continue
-                n_lookups += 1
-                kt = (f, 0, op_id)
-                r = md.get(kt)
-                if r is None and mo:
-                    r = mo.get(kt)
-                    if r is not None:
-                        md[kt] = r
-                        n_cross += 1
-                if r is not None:
-                    n_hits += 1
-                    res.append(r)
-                    continue
-                budget -= 1
-                if budget < 0:
-                    self.n_op_cache_lookups += n_lookups
-                    self.n_op_cache_hits += n_hits
-                    memo.crossop_hits += n_cross
-                    return -1, 0
-                if assigned is not None and assigned[l]:
-                    child = highs[f] if val[l] else lows[f]
-                    ops.append((2, f))
-                    ops.append((0, child))
-                else:
-                    ops.append((1, f, l))
-                    ops.append((0, highs[f]))
-                    ops.append((0, lows[f]))
-            elif tag == 1:
-                _, f, l = fr
-                hi = res.pop()
-                lo = res.pop()
-                if lmap is not None:
-                    nl = lmap[l]
-                    llo = levels[lo]
-                    lhi = levels[hi]
-                    if nl >= (llo if llo < lhi else lhi):
-                        self.n_op_cache_lookups += n_lookups
-                        self.n_op_cache_hits += n_hits
-                        raise ValueError(
-                            "rename would violate the level order "
-                            "(mapped variable crosses an unmapped one)"
-                        )
-                    r = lo if lo == hi else self._mk(nl, lo, hi)
-                else:
-                    r = lo if lo == hi else self._mk(l, lo, hi)
-                if len(md) >= mlimit:
-                    memo.rotate()
-                md[(f, 0, op_id)] = r
-                res.append(r)
-            else:
-                f = fr[1]
-                r = res.pop()
-                if len(md) >= mlimit:
-                    memo.rotate()
-                md[(f, 0, op_id)] = r
-                res.append(r)
-        self.n_op_cache_lookups += n_lookups
-        self.n_op_cache_hits += n_hits
-        memo.crossop_hits += n_cross
-        return res[-1], budget
-
-    def _unary1(self, f: int, op_id: int) -> int:
-        """Rename/restrict entry: scalar DFS first, BFS fallback."""
-        r, _ = self._unary_scalar(f, op_id, self.scalar_budget)
-        if r >= 0:
-            return r
-        return int(self._unary_many([f], op_id)[0])
-
-    def _unary_many(self, F, op_id: int) -> np.ndarray:
-        """Shared BFS for rename/restrict: expand the cone above the
-        deepest mapped/assigned level, then rebuild bottom-up.  Nodes whose
-        level lies below ``top`` cannot mention a mapped variable and pass
-        through unchanged."""
-        struct = self._op_structs[op_id]
-        kind = struct[0]
-        if kind == "rn":
-            _, lmap, top = struct
-            assigned = val = None
-        else:
-            _, assigned, val, top = struct
-            lmap = None
-        nv = self.n_vars
-        levels, lows, highs = self._levels, self._lows, self._highs
-        memo = self._op_memo
-        F = np.asarray(F, dtype=np.int64)
-        nroot = len(F)
-        root_slot = np.empty(nroot, dtype=np.int64)
-
-        cap = 256
-        rf = np.empty(cap, dtype=np.int64)
-        rc0 = np.empty(cap, dtype=np.int64)
-        rc1 = np.empty(cap, dtype=np.int64)  # -2 marks copy-through (restrict)
-        rres = np.empty(cap, dtype=np.int64)
-        n_store = 0
-        segs: list[tuple[int, int, int]] = []
-
-        def ensure_store(extra: int):
-            nonlocal cap, rf, rc0, rc1, rres
-            if n_store + extra <= cap:
-                return
-            while cap < n_store + extra:
-                cap *= 2
-            rf = np.resize(rf, cap)
-            rc0 = np.resize(rc0, cap)
-            rc1 = np.resize(rc1, cap)
-            rres = np.resize(rres, cap)
-
-        buckets: list[list | None] = [None] * (nv + 1)
-
-        def enqueue(lv_arr, A, P, S):
-            for l in np.unique(lv_arr):
-                m = lv_arr == l
-                b = buckets[l]
-                if b is None:
-                    b = buckets[l] = []
-                b.append((A[m], P[m], S[m]))
-
-        lv_root = levels[F].copy()
-        # terminals and below-top nodes resolve to themselves at bucket nv
-        lv_root = np.where(lv_root > top, nv, lv_root)
-        enqueue(
-            lv_root, F,
-            -np.arange(1, nroot + 1, dtype=np.int64),
-            np.zeros(nroot, dtype=np.int64),
-        )
-
-        for l in range(int(lv_root.min()), nv + 1):
-            chunks = buckets[l]
-            if not chunks:
-                continue
-            buckets[l] = None
-            if len(chunks) == 1:
-                bf, bp, bs = chunks[0]
-            else:
-                bf = np.concatenate([c[0] for c in chunks])
-                bp = np.concatenate([c[1] for c in chunks])
-                bs = np.concatenate([c[2] for c in chunks])
-            nb = len(bf)
-            order = np.argsort(bf)
-            sf = bf[order]
-            head = np.empty(nb, dtype=bool)
-            head[0] = True
-            head[1:] = sf[1:] != sf[:-1]
-            grp = np.cumsum(head) - 1
-            Fu = sf[head]
-            nu = len(Fu)
-            self.n_op_cache_lookups += nu
-            res = np.full(nu, -1, dtype=np.int64)
-            if l == nv:
-                # pass-through: terminals, and nodes below every mapped level
-                res[:] = Fu
-            else:
-                zkey = np.zeros(nu, dtype=np.int64)
-                oid = np.full(nu, op_id, dtype=np.int64)
-                probe = memo.get_many(Fu, zkey, oid)
-                hits = probe >= 0
-                self.n_op_cache_hits += int(np.count_nonzero(hits))
-                res[hits] = probe[hits]
-            base = n_store
-            ensure_store(nu)
-            rf[base : base + nu] = Fu
-            rres[base : base + nu] = res
-            n_store += nu
-            segs.append((l, base, base + nu))
-            slots_sorted = base + grp
-            root_m = bp[order] < 0
-            if root_m.any():
-                root_slot[-(bp[order][root_m]) - 1] = slots_sorted[root_m]
-            pm = ~root_m
-            if pm.any():
-                pr = bp[order][pm]
-                sd = bs[order][pm]
-                sl = slots_sorted[pm]
-                c0 = sd == 0
-                rc0[pr[c0]] = sl[c0]
-                rc1[pr[~c0]] = sl[~c0]
-            unres = res < 0
-            if not unres.any():
-                continue
-            Fe = Fu[unres]
-            pidx = base + np.nonzero(unres)[0]
-            if assigned is not None and assigned[l]:
-                # restrict at an assigned level: follow one branch, mark
-                # the slot as a copy of its single child
-                child = highs[Fe] if val[l] else lows[Fe]
-                rc1[pidx] = -2
-                lv = levels[child]
-                lv = np.where(lv > top, nv, lv)
-                enqueue(lv, child, pidx, np.zeros(len(pidx), dtype=np.int64))
-            else:
-                lo, hi = lows[Fe], highs[Fe]
-                lv0 = levels[lo]
-                lv0 = np.where(lv0 > top, nv, lv0)
-                enqueue(lv0, lo, pidx, np.zeros(len(pidx), dtype=np.int64))
-                lv1 = levels[hi]
-                lv1 = np.where(lv1 > top, nv, lv1)
-                enqueue(lv1, hi, pidx, np.ones(len(pidx), dtype=np.int64))
-
-        for l, s, e in reversed(segs):
-            pend = rres[s:e] < 0
-            if not pend.any():
-                continue
-            idx = s + np.nonzero(pend)[0]
-            if assigned is not None and assigned[l]:
-                rres[idx] = rres[rc0[idx]]
-            else:
-                lo = rres[rc0[idx]]
-                hi = rres[rc1[idx]]
-                if lmap is not None:
-                    ol = int(lmap[l])
-                    minchild = np.minimum(self._levels[lo], self._levels[hi])
-                    if (ol >= minchild).any():
-                        raise ValueError(
-                            "rename mapping moves a variable past another "
-                            "variable in the operand's support"
-                        )
-                else:
-                    ol = l
-                rres[idx] = self._mk_many(ol, lo, hi)
-            zkey = np.zeros(len(idx), dtype=np.int64)
-            oid = np.full(len(idx), op_id, dtype=np.int64)
-            memo.put_many(rf[idx], zkey, oid, rres[idx])
-
-        return rres[root_slot]
+            result = self._mk(
+                level,
+                self._restrict(self._low[f], assignments, items),
+                self._restrict(self._high[f], assignments, items),
+            )
+        self._op_cache[key] = result
+        return result
 
     # ------------------------------------------------------------------
     # garbage collection (explicit mark-and-sweep)
     # ------------------------------------------------------------------
     def ref(self, node: int) -> int:
         """Protect ``node`` (and its cone) from :meth:`collect_garbage`."""
-        node = int(node)
         if node > ONE:
             self._refs[node] = self._refs.get(node, 0) + 1
         return node
 
     def deref(self, node: int) -> None:
         """Drop one external reference taken with :meth:`ref`."""
-        node = int(node)
         if node <= ONE:
             return
         count = self._refs.get(node, 0)
@@ -2347,50 +795,36 @@ class BDD:
         """Mark-and-sweep: free every node unreachable from the roots.
 
         Roots are the variable nodes, every :meth:`ref`-ed node and the
-        ``roots`` iterable.  The mark phase is a vectorised frontier walk;
-        the sweep rebuilds the unique table from the survivors and pushes
-        freed slots onto the free list for the node constructor to recycle.
-        The memo tables are *pruned*, not cleared: an entry survives iff
-        every node id it mentions was marked live, so fixpoint state that
-        straddles a collection (the engine GCs at pass boundaries) keeps
-        its memoised subresults.  Entries naming a dead id are dropped in
-        the same sweep that frees the id, so a recycled slot can never be
-        confused with the node that used to live there.  Unrooted ids held
-        across a collection become dangling.  Returns the number of nodes
-        collected.
+        ``roots`` iterable.  Returns the number of nodes collected.  All
+        memo tables are cleared (their entries may mention dead ids);
+        freed slots are recycled by the node constructor, so unrooted ids
+        held across a collection become dangling.
         """
-        n = self._n_slots
-        marked = np.zeros(n, dtype=bool)
-        marked[:2] = True
-        seeds = list(self._vars)
-        seeds.extend(self._refs)
-        seeds.extend(int(r) for r in roots)
-        lows, highs = self._lows, self._highs
-        frontier = np.unique(np.asarray(seeds, dtype=np.int64)) if seeds else \
-            np.empty(0, dtype=np.int64)
-        while frontier.size:
-            frontier = frontier[frontier > ONE]
-            frontier = frontier[~marked[frontier]]
-            if not frontier.size:
-                break
-            marked[frontier] = True
-            frontier = np.unique(
-                np.concatenate([lows[frontier], highs[frontier]])
-            )
-        levels = self._levels
-        allocated = levels[2:n] >= 0
-        dead = np.nonzero(allocated & ~marked[2:n])[0] + 2
-        collected = len(dead)
-        levels[dead] = -1
-        self._free.extend(dead.tolist())
-        live = np.nonzero(levels[2:n] >= 0)[0] + 2
-        self._ut.rebuild(
-            live, levels, lows, highs, min_capacity=self._ut.capacity
-        )
-        alive = marked.tolist()
-        self.n_memo_gc_pruned += self._ite_memo.prune_dead(alive, check_c=True)
-        # op-memo keys carry an op id in the c slot — not a node, never dead
-        self.n_memo_gc_pruned += self._op_memo.prune_dead(alive, check_c=False)
+        marked = bytearray(len(self._level))
+        stack: list[int] = list(self._vars)
+        stack.extend(self._refs)
+        stack.extend(roots)
+        low, high = self._low, self._high
+        while stack:
+            n = stack.pop()
+            if n <= ONE or marked[n]:
+                continue
+            marked[n] = 1
+            stack.append(low[n])
+            stack.append(high[n])
+        collected = 0
+        levels = self._level
+        unique = self._unique
+        for n in range(2, len(levels)):
+            if levels[n] < 0 or marked[n]:
+                continue
+            del unique[(levels[n], low[n], high[n])]
+            levels[n] = -1
+            self._free.append(n)
+            collected += 1
+        self._ite_cache.clear()
+        self._not_cache.clear()
+        self._op_cache.clear()
         self.n_gc_runs += 1
         self.n_gc_collected += collected
         self._n_live -= collected
@@ -2424,36 +858,33 @@ class BDD:
         if (
             self.auto_reorder
             and not self._in_reorder
-            and self._ut.n_live >= self.reorder_threshold
+            and len(self._unique) >= self.reorder_threshold
         ):
             self.reorder()
             # back off so a table that resists shrinking does not re-sift
             # on every subsequent operation
             self.reorder_threshold = max(
-                self.reorder_threshold, 2 * self._ut.n_live
+                self.reorder_threshold, 2 * len(self._unique)
             )
 
     def reorder(self, *, max_growth: float = 1.2) -> int:
         """Sift every block to its locally best position; returns the
         number of adjacent-level swaps performed.
 
-        Node ids keep denoting the same functions (swaps rewrite the flat
-        arrays in place), so outstanding handles stay valid; the
-        level-keyed operation memo and descriptor registry are invalidated,
-        the ITE memo survives.
+        Node ids keep denoting the same functions (swaps rewrite nodes in
+        place), so outstanding handles stay valid; the level-keyed op
+        cache is invalidated.
         """
         if self.n_vars < 2 or self._in_reorder:
             return 0
         self._in_reorder = True
         swaps_before = self.n_reorder_swaps
         try:
-            n = self._n_slots
-            lv_all = self._levels[2:n]
-            live = np.nonzero((lv_all >= 0) & (lv_all < self.n_vars))[0] + 2
             nodes_at_level: list[set[int]] = [set() for _ in range(self.n_vars)]
-            lv_live = self._levels[live]
-            for l in np.unique(lv_live):
-                nodes_at_level[l] = set((live[lv_live == l]).tolist())
+            for n in range(2, len(self._level)):
+                lvl = self._level[n]
+                if 0 <= lvl < self.n_vars:
+                    nodes_at_level[lvl].add(n)
             self._reorder_tracking = nodes_at_level
             # Sifting needs a *live*-size metric: in-place swaps create
             # fresh nodes and orphan old ones, so the raw unique-table size
@@ -2461,23 +892,22 @@ class BDD:
             # worse than the starting one.  Reorder-scoped reference counts
             # track which nodes are dead (unreferenced, links uncounted);
             # externally held ids are presumed roots and never die.
-            ch = np.concatenate([self._lows[live], self._highs[live]])
-            ch = ch[ch >= 2]
-            cnt = np.bincount(ch, minlength=n)
-            nz = np.nonzero(cnt)[0]
-            indeg: dict[int, int] = dict(
-                zip(nz.tolist(), cnt[nz].tolist())
-            )
-            for v in self._vars:
-                if v >= 2:
-                    indeg[v] = indeg.get(v, 0) + 1
-            for v in self._refs:
-                indeg[v] = indeg.get(v, 0) + 1
-            for v in live.tolist():
-                if not indeg.get(v):
-                    indeg[v] = 1  # presumed external root
+            indeg: dict[int, int] = {}
+            for n in range(2, len(self._level)):
+                if 0 <= self._level[n] < self.n_vars:
+                    for c in (self._low[n], self._high[n]):
+                        if c >= 2:
+                            indeg[c] = indeg.get(c, 0) + 1
+            for n in self._vars:
+                if n >= 2:
+                    indeg[n] = indeg.get(n, 0) + 1
+            for n in self._refs:
+                indeg[n] = indeg.get(n, 0) + 1
+            for n in range(2, len(self._level)):
+                if 0 <= self._level[n] < self.n_vars and not indeg.get(n):
+                    indeg[n] = 1  # presumed external root
             self._reorder_indeg = indeg
-            self._reorder_dead = set()
+            self._reorder_dead: set[int] = set()
             if self._blocks is not None:
                 order = sorted(
                     self._blocks, key=lambda b: self._var2level[b[0]]
@@ -2498,50 +928,34 @@ class BDD:
             self._reorder_indeg = None
             self._reorder_dead = None
             self._in_reorder = False
-            # sifting writes the node arrays directly; refresh the scalar
-            # mirrors in place (identity must survive for captured locals)
-            self._levels_l[:] = self._levels.tolist()
-            self._lows_l[:] = self._lows.tolist()
-            self._highs_l[:] = self._highs.tolist()
-            self._op_memo.clear()
-            self._op_descr.clear()
-            self._op_structs.clear()
-            self._op_scalar.clear()
+            self._op_cache.clear()
             self._relprod_args_cache.clear()
         return self.n_reorder_swaps - swaps_before
 
     # -- reorder-scoped reference counting (see reorder()) --------------
     # Invariant: a node's child links are counted iff its own count is
     # positive; ``_reorder_dead`` is exactly the unreferenced interior
-    # nodes, so the live size is ``ut.n_live - len(dead)``.
+    # nodes, so the live size is ``len(unique) - len(dead)``.
 
     def _rr_acquire(self, c: int) -> None:
+        if c < 2:
+            return
         indeg = self._reorder_indeg
-        lows, highs = self._lows, self._highs
-        stack = [c]
-        while stack:
-            c = stack.pop()
-            if c < 2:
-                continue
-            if not indeg.get(c):
-                self._reorder_dead.discard(c)
-                stack.append(int(lows[c]))
-                stack.append(int(highs[c]))
-            indeg[c] = indeg.get(c, 0) + 1
+        if not indeg.get(c):
+            self._reorder_dead.discard(c)
+            self._rr_acquire(self._low[c])
+            self._rr_acquire(self._high[c])
+        indeg[c] = indeg.get(c, 0) + 1
 
     def _rr_release(self, c: int) -> None:
+        if c < 2:
+            return
         indeg = self._reorder_indeg
-        lows, highs = self._lows, self._highs
-        stack = [c]
-        while stack:
-            c = stack.pop()
-            if c < 2:
-                continue
-            indeg[c] -= 1
-            if not indeg[c]:
-                self._reorder_dead.add(c)
-                stack.append(int(lows[c]))
-                stack.append(int(highs[c]))
+        indeg[c] -= 1
+        if not indeg[c]:
+            self._reorder_dead.add(c)
+            self._rr_release(self._low[c])
+            self._rr_release(self._high[c])
 
     def _sift_block(
         self,
@@ -2552,7 +966,7 @@ class BDD:
     ) -> None:
         pos = order.index(block)
         best_pos = pos
-        live = lambda: self._ut.n_live - len(self._reorder_dead)  # noqa: E731
+        live = lambda: len(self._unique) - len(self._reorder_dead)  # noqa: E731
         best_size = live()
         p = pos
         # sweep down to the bottom
@@ -2605,34 +1019,32 @@ class BDD:
         depend on level ``l+1`` are rebuilt in place with the two variables
         exchanged; independent ones just change level.  Freshly needed
         nodes at the new lower level are created through ``_mk`` (which
-        also reuses sunk independent nodes).  Unique-table bookkeeping is
-        scalar removes/inserts against the dict store.
+        also reuses sunk independent nodes).
         """
         upper = nodes_at_level[l]
         lower = nodes_at_level[l + 1]
-        levels, lows, highs = self._levels, self._lows, self._highs
-        ut = self._ut
+        levels, lows, highs = self._level, self._low, self._high
+        unique = self._unique
         dep: list[tuple[int, int, int, int, int]] = []
         indep: list[int] = []
         for n in upper:
-            f0 = int(lows[n])
-            f1 = int(highs[n])
+            f0, f1 = lows[n], highs[n]
             d0 = levels[f0] == l + 1
             d1 = levels[f1] == l + 1
             if not (d0 or d1):
                 indep.append(n)
                 continue
-            f00, f01 = (int(lows[f0]), int(highs[f0])) if d0 else (f0, f0)
-            f10, f11 = (int(lows[f1]), int(highs[f1])) if d1 else (f1, f1)
+            f00, f01 = (lows[f0], highs[f0]) if d0 else (f0, f0)
+            f10, f11 = (lows[f1], highs[f1]) if d1 else (f1, f1)
             dep.append((n, f00, f01, f10, f11))
         # every level-l node leaves its slot in the unique table
         for n in upper:
-            ut.remove(l, int(lows[n]), int(highs[n]), levels, lows, highs)
+            del unique[(l, lows[n], highs[n])]
         # lower-variable nodes rise to level l wholesale (children ≥ l+2)
         for n in lower:
-            ut.remove(l + 1, int(lows[n]), int(highs[n]), levels, lows, highs)
+            del unique[(l + 1, lows[n], highs[n])]
             levels[n] = l
-            ut.insert(l, int(lows[n]), int(highs[n]), n, levels, lows, highs)
+            unique[(l, lows[n], highs[n])] = n
         new_upper = set(lower)
         new_lower = set(indep)
         nodes_at_level[l] = new_upper
@@ -2640,7 +1052,7 @@ class BDD:
         # independent upper nodes sink one level, unchanged otherwise
         for n in indep:
             levels[n] = l + 1
-            ut.insert(l + 1, int(lows[n]), int(highs[n]), n, levels, lows, highs)
+            unique[(l + 1, lows[n], highs[n])] = n
         # dependent nodes are rebuilt in place with the variables swapped:
         # (a, (b,f00,f01), (b,f10,f11))  →  (b, (a,f00,f10), (a,f01,f11))
         indeg = self._reorder_indeg
@@ -2648,10 +1060,7 @@ class BDD:
         def mk_tracked(level: int, lo: int, hi: int) -> int:
             if lo == hi:
                 return lo
-            existed = (
-                ut.lookup(level, lo, hi, self._levels, self._lows, self._highs)
-                != EMPTY
-            )
+            existed = (level, lo, hi) in unique
             node = self._mk(level, lo, hi)
             if not existed:
                 # born unreferenced: links stay uncounted until acquired
@@ -2661,20 +1070,17 @@ class BDD:
         for n, f00, f01, f10, f11 in dep:
             counted = bool(indeg.get(n))
             if counted:
-                self._rr_release(int(self._lows[n]))
-                self._rr_release(int(self._highs[n]))
+                self._rr_release(lows[n])
+                self._rr_release(highs[n])
             g0 = mk_tracked(l + 1, f00, f10)
             g1 = mk_tracked(l + 1, f01, f11)
             if counted:
                 self._rr_acquire(g0)
                 self._rr_acquire(g1)
-            self._lows[n] = g0
-            self._highs[n] = g1
-            assert (
-                self._ut.lookup(l, g0, g1, self._levels, self._lows, self._highs)
-                == EMPTY
-            ), "reorder uniqueness violated"
-            self._ut.insert(l, g0, g1, n, self._levels, self._lows, self._highs)
+            lows[n] = g0
+            highs[n] = g1
+            assert (l, g0, g1) not in unique, "reorder uniqueness violated"
+            unique[(l, g0, g1)] = n
             new_upper.add(n)
         va, vb = self._level2var[l], self._level2var[l + 1]
         self._level2var[l], self._level2var[l + 1] = vb, va
@@ -2686,179 +1092,128 @@ class BDD:
     # ------------------------------------------------------------------
     def size(self, f: int) -> int:
         """Number of nodes in the DAG rooted at ``f`` (terminals included)."""
-        return self.size_many([f])
+        seen: set[int] = set()
+        stack = [f]
+        while stack:
+            n = stack.pop()
+            if n in seen:
+                continue
+            seen.add(n)
+            if n > ONE:
+                stack.append(self._low[n])
+                stack.append(self._high[n])
+        return len(seen)
 
     def size_many(self, roots: Iterable[int]) -> int:
-        """Nodes in the shared DAG of several roots (CUDD's shared size),
-        computed as a vectorised frontier walk.
-
-        Small DAGs (the per-SCC stats calls flood this with cubes) take a
-        set-based walk instead: the vectorised path pays an ``n_slots``
-        bool allocation per call, which dwarfs a 30-node traversal."""
-        seeds = [int(r) for r in roots]
-        if not seeds:
-            return 0
-        small = {s for s in seeds}
-        stack = [s for s in small if s > ONE]
-        lows_l, highs_l = self._lows_l, self._highs_l
-        while stack and len(small) <= 4096:
-            node = stack.pop()
-            for child in (lows_l[node], highs_l[node]):
-                if child not in small:
-                    small.add(child)
-                    if child > ONE:
-                        stack.append(child)
-        if not stack:
-            return len(small)
-        seen = np.zeros(self._n_slots, dtype=bool)
-        frontier = np.unique(np.asarray(seeds, dtype=np.int64))
-        seen[frontier] = True
-        lows, highs = self._lows, self._highs
-        while True:
-            frontier = frontier[frontier > ONE]
-            if not frontier.size:
-                break
-            frontier = np.unique(
-                np.concatenate([lows[frontier], highs[frontier]])
-            )
-            frontier = frontier[~seen[frontier]]
-            seen[frontier] = True
-        return int(np.count_nonzero(seen))
+        """Nodes in the shared DAG of several roots (CUDD's shared size)."""
+        seen: set[int] = set()
+        stack = list(roots)
+        while stack:
+            n = stack.pop()
+            if n in seen:
+                continue
+            seen.add(n)
+            if n > ONE:
+                stack.append(self._low[n])
+                stack.append(self._high[n])
+        return len(seen)
 
     def count_sat(self, f: int, n_vars: int | None = None) -> int:
-        """Number of satisfying assignments over ``n_vars`` variables.
-
-        Iterative post-order over the DAG (explicit stack — python ints
-        throughout, since counts overflow 64 bits beyond ~64 variables).
-        """
+        """Number of satisfying assignments over ``n_vars`` variables."""
         n_vars = self.n_vars if n_vars is None else n_vars
-        if f == ZERO:
-            return 0
-        levels, lows, highs = self._levels, self._lows, self._highs
-        cache: dict[int, int] = {ONE: 1}
-        stack: list[int] = [f]
-        while stack:
-            node = stack[-1]
-            if node in cache:
-                stack.pop()
-                continue
-            lo = int(lows[node])
-            hi = int(highs[node])
-            clo = cache.get(lo)
-            chi = cache.get(hi)
-            if (clo is None and lo != ZERO) or (chi is None and hi != ZERO):
-                if clo is None and lo != ZERO:
-                    stack.append(lo)
-                if chi is None and hi != ZERO:
-                    stack.append(hi)
-                continue
-            stack.pop()
-            level = int(levels[node])
-            lo_count = 0 if lo == ZERO else clo << (int(levels[lo]) - level - 1)
-            hi_count = 0 if hi == ZERO else chi << (int(levels[hi]) - level - 1)
-            cache[node] = lo_count + hi_count
-        return cache[f] << int(levels[f])
+        cache: dict[int, int] = {}
+
+        def go(node: int) -> int:
+            # models over variables below (>=) the node's level
+            if node == ZERO:
+                return 0
+            if node == ONE:
+                return 1 << 0
+            cached = cache.get(node)
+            if cached is not None:
+                return cached
+            level = self._level[node]
+            lo, hi = self._low[node], self._high[node]
+            lo_count = go(lo) << (self._level[lo] - level - 1)
+            hi_count = go(hi) << (self._level[hi] - level - 1)
+            result = lo_count + hi_count
+            cache[node] = result
+            return result
+
+        return go(f) << self._level[f]
 
     def pick(self, f: int) -> dict[int, bool] | None:
         """One satisfying assignment, keyed by variable index
         (unmentioned variables default False)."""
         if f == ZERO:
             return None
-        levels, lows, highs = self._levels_l, self._lows_l, self._highs_l
-        l2v = self._level2var
         out: dict[int, bool] = {}
         node = f
         while node > ONE:
-            v = l2v[levels[node]]
-            lo = lows[node]
-            if lo != ZERO:
+            v = self._level2var[self._level[node]]
+            if self._low[node] != ZERO:
                 out[v] = False
-                node = lo
+                node = self._low[node]
             else:
                 out[v] = True
-                node = highs[node]
+                node = self._high[node]
         return out
 
     def pick_cube_over(self, f: int, variables: Sequence[int]) -> int:
         """BDD cube of one satisfying assignment of ``f``, extended to all
         of ``variables`` (variables off the picked path are forced False).
-
-        The fused twin of ``cube({v: pick(f).get(v, False) for v in vs})``:
-        one walk down ``f`` plus one bottom-up chain build, with no
-        variable-index round trip.  The per-state singleton picks of the
-        SCC decompositions are the hottest caller."""
+        One walk plus one bottom-up chain build — the fused twin of
+        ``cube({v: pick(f).get(v, False) for v in variables})``."""
         if f == ZERO:
             return ZERO
-        levels, lows, highs = self._levels_l, self._lows_l, self._highs_l
+        level, low, high = self._level, self._low, self._high
         path: dict[int, bool] = {}
         node = f
         while node > ONE:
-            lo = lows[node]
+            lo = low[node]
             if lo != ZERO:
-                path[levels[node]] = False
+                path[level[node]] = False
                 node = lo
             else:
-                path[levels[node]] = True
-                node = highs[node]
-        # the level list is identical call-to-call (the engine always
-        # passes its fixed current-bit tuple): cache it until a reorder
-        variables = tuple(variables)
-        cached = self._pco_cache
-        if (
-            cached is not None
-            and cached[0] == variables
-            and cached[1] == self.n_reorder_swaps
-        ):
-            levels_desc = cached[2]
-        else:
-            v2l = self._var2level
-            levels_desc = sorted((v2l[v] for v in variables), reverse=True)
-            self._pco_cache = (variables, self.n_reorder_swaps, levels_desc)
-        ud = self._ut.d
+                path[level[node]] = True
+                node = high[node]
+        v2l = self._var2level
         get_pol = path.get
         out = ONE
-        for l in levels_desc:
+        for l in sorted((v2l[v] for v in variables), reverse=True):
             if get_pol(l, False):
-                key = (l, ZERO, out)
+                out = self._mk(l, ZERO, out)
             else:
-                key = (l, out, ZERO)
-            r = ud.get(key)
-            out = r if r is not None else self._mk(l, key[1], key[2])
+                out = self._mk(l, out, ZERO)
         return out
 
     def iter_sat(self, f: int) -> Iterator[dict[int, bool]]:
         """All satisfying assignments as partial maps keyed by variable
-        index (don't-cares omitted).  Iterative: the explicit stack holds
-        (node, partial-assignment) pairs, so deep orders cannot hit the
-        recursion limit."""
-        if f == ZERO:
-            return
-        stack: list[tuple[int, dict[int, bool]]] = [(f, {})]
-        while stack:
-            node, partial = stack.pop()
+        index (don't-cares omitted)."""
+
+        def go(node: int, partial: dict[int, bool]) -> Iterator[dict[int, bool]]:
+            if node == ZERO:
+                return
             if node == ONE:
                 yield dict(partial)
-                continue
-            if node == ZERO:
-                continue
-            v = self._level2var[int(self._levels[node])]
-            hi_part = dict(partial)
-            hi_part[v] = True
+                return
+            v = self._level2var[self._level[node]]
             partial[v] = False
-            # low pushed last → popped first → low-first enumeration order
-            stack.append((int(self._highs[node]), hi_part))
-            stack.append((int(self._lows[node]), partial))
+            yield from go(self._low[node], partial)
+            partial[v] = True
+            yield from go(self._high[node], partial)
+            del partial[v]
+
+        yield from go(f, {})
 
     def eval(self, f: int, assignment: Sequence[bool]) -> bool:
         """Evaluate ``f`` under a total assignment (indexed by variable)."""
         node = f
-        levels, lows, highs = self._levels, self._lows, self._highs
-        l2v = self._level2var
         while node > ONE:
-            node = int(
-                highs[node]
-                if assignment[l2v[int(levels[node])]]
-                else lows[node]
+            node = (
+                self._high[node]
+                if assignment[self._level2var[self._level[node]]]
+                else self._low[node]
             )
         return node == ONE
 
@@ -2883,12 +1238,7 @@ class BDD:
             "ite_cache_hits": self.n_ite_cache_hits,
             "op_cache_lookups": self.n_op_cache_lookups,
             "op_cache_hits": self.n_op_cache_hits,
-            "ite_crossop_hits": self._ite_memo.crossop_hits,
-            "op_crossop_hits": self._op_memo.crossop_hits,
-            "memo_rotations": self._ite_memo.rotations + self._op_memo.rotations,
-            "memo_gc_pruned": self.n_memo_gc_pruned,
             "relprod_many_calls": self.n_relprod_many,
-            "relprod_many_bfs": self.n_relprod_many_bfs,
             "unique_nodes": self.num_nodes(),
             "live_nodes": self._n_live,
             "peak_live_nodes": self.n_peak_live,
@@ -2896,8 +1246,8 @@ class BDD:
             "gc_collected": self.n_gc_collected,
             "reorder_runs": self.n_reorder_runs,
             "reorder_swaps": self.n_reorder_swaps,
-            "ite_cache_entries": self._ite_memo.entries(),
-            "op_cache_entries": self._op_memo.entries(),
+            "ite_cache_entries": len(self._ite_cache),
+            "op_cache_entries": len(self._op_cache),
         }
 
     def ite_hit_rate(self) -> float:
@@ -2909,11 +1259,8 @@ class BDD:
 
     def clear_caches(self) -> None:
         """Drop operation caches (unique table survives — nodes stay valid)."""
-        self._ite_memo.clear()
-        self._op_memo.clear()
-        self._op_descr.clear()
-        self._op_structs.clear()
-        self._op_scalar.clear()
+        self._ite_cache.clear()
+        self._op_cache.clear()
         self._relprod_args_cache.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper

@@ -5,8 +5,7 @@ domains (a colour in ``{0..2}``, a token position in ``{0..k-1}``), not
 about individual bits.  This module provides that multi-valued view as a
 first-class layer: an :class:`MDD` declares variables by *domain size*
 and internally manages a binary log-encoding over a
-:class:`repro.bdd.manager.BDD` (or the retained dict reference kernel —
-see *Kernel selection* below).
+:class:`repro.bdd.manager.BDD`.
 
 Encoding contract
 -----------------
@@ -38,27 +37,16 @@ Set-level operations that report model counts must mask with
 :meth:`valid` first (as :meth:`count_assignments` does) — raw
 ``count_sat`` on the underlying BDD counts invalid patterns too.
 
-Kernel selection
-----------------
-``kernel="array"`` (default) uses the array-native
-:class:`repro.bdd.manager.BDD`; ``kernel="reference"`` the retained
-dict-of-tuples :class:`repro.bdd.reference.ReferenceBDD` (the
-differential-testing oracle).  ``kernel=None`` reads the
-``REPRO_BDD_KERNEL`` environment variable and falls back to ``array``.
-Both kernels expose the same public API, so everything layered above —
-including :mod:`repro.symbolic.encode`, which routes through this
-module — runs unchanged on either.
+The total bit count (twice the sum of the widths with ``pairs=True``) is
+bounded by :data:`repro.bdd.manager.MAX_VARS`; a larger encoding raises
+``ValueError`` when the kernel is created.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterator, Mapping, Sequence
 
 from .manager import BDD, ONE, ZERO
-
-#: accepted values of the ``kernel`` argument / ``REPRO_BDD_KERNEL``
-KERNELS = ("array", "reference")
 
 
 def bits_for(domain: int) -> int:
@@ -71,30 +59,8 @@ def bits_for(domain: int) -> int:
     return bits
 
 
-def make_kernel(
-    n_bits: int,
-    names: Sequence[str] | None = None,
-    *,
-    kernel: str | None = None,
-):
-    """Instantiate a BDD manager of the requested kernel.
-
-    ``kernel`` is ``"array"``, ``"reference"``, or ``None`` to read
-    ``REPRO_BDD_KERNEL`` (default ``"array"``).
-    """
-    if kernel is None:
-        kernel = os.environ.get("REPRO_BDD_KERNEL", "array")
-    if kernel == "array":
-        return BDD(n_bits, names)
-    if kernel == "reference":
-        from .reference import ReferenceBDD
-
-        return ReferenceBDD(n_bits, names)
-    raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
-
-
 class MDD:
-    """Multi-valued variables log-encoded over a BDD kernel.
+    """Multi-valued variables log-encoded over the BDD kernel.
 
     ``domains[i]`` is the domain size of variable ``i``; ``names[i]``
     its display name (bit variables are named ``{name}.{bit}`` and
@@ -114,7 +80,6 @@ class MDD:
         names: Sequence[str] | None = None,
         *,
         pairs: bool = False,
-        kernel: str | None = None,
     ):
         self.domains = [int(d) for d in domains]
         self.n_vars = len(self.domains)
@@ -144,8 +109,8 @@ class MDD:
                     level += 1
             self.cur_levels.append(cur)
             self.next_levels.append(nxt)
-        #: the underlying Boolean kernel (array or reference)
-        self.bdd = make_kernel(level, bit_names, kernel=kernel)
+        #: the underlying Boolean kernel
+        self.bdd = BDD(level, bit_names)
         self.all_cur = [l for ls in self.cur_levels for l in ls]
         self.all_next = [l for ls in self.next_levels for l in ls]
         if pairs:

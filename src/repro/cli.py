@@ -20,6 +20,7 @@ import argparse
 import os
 import sys
 import time
+from contextlib import contextmanager
 
 
 def _dsl_builder(source: str):
@@ -28,6 +29,22 @@ def _dsl_builder(source: str):
     from .dsl import compile_protocol
 
     return compile_protocol(source)
+
+
+def _default(value, fallback: int) -> int:
+    return fallback if value is None else value
+
+
+@contextmanager
+def _input_errors():
+    """A ``ValueError`` while building the protocol or its BDD encoding
+    means the requested size or domain is invalid (``-k 2`` for a ring,
+    an encoding past the kernel's variable bound): one line, exit 2."""
+    try:
+        yield
+    except ValueError as exc:
+        print(f"stsyn: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _builder_spec(args):
@@ -46,21 +63,22 @@ def _builder_spec(args):
             return _dsl_builder, (handle.read(),)
     name = args.protocol
     if name == "token-ring":
-        return token_ring, (args.k or 4, args.domain or 3)
+        return token_ring, (_default(args.k, 4), _default(args.domain, 3))
     if name == "matching":
-        return matching, (args.k or 5,)
+        return matching, (_default(args.k, 5),)
     if name == "coloring":
-        return coloring, (args.k or 5,)
+        return coloring, (_default(args.k, 5),)
     if name == "two-ring":
         return two_ring, ()
     if name == "gouda-acharya":
-        return gouda_acharya_matching, (args.k or 5,)
+        return gouda_acharya_matching, (_default(args.k, 5),)
     raise SystemExit(f"unknown protocol {name!r}")
 
 
 def _build(args):
     builder, builder_args = _builder_spec(args)
-    return builder(*builder_args)
+    with _input_errors():
+        return builder(*builder_args)
 
 
 def _make_tracer(args, command: str = "synthesize"):
@@ -108,19 +126,23 @@ def _cmd_synthesize(args) -> int:
                     )
 
                     protocol, invariant = _build(args)
-                    sp = SymbolicProtocol(
-                        protocol, relation_mode=args.relation_mode, **cluster_kw
-                    )
+                    with _input_errors():
+                        sp = SymbolicProtocol(
+                            protocol,
+                            relation_mode=args.relation_mode,
+                            **cluster_kw,
+                        )
                     inv = sp.sym.from_predicate(invariant)
                 else:
                     from .protocols.coloring import coloring_symbolic
                     from .symbolic import add_strong_convergence_symbolic
 
-                    protocol, sp, inv = coloring_symbolic(
-                        args.k or 5,
-                        relation_mode=args.relation_mode,
-                        **cluster_kw,
-                    )
+                    with _input_errors():
+                        protocol, sp, inv = coloring_symbolic(
+                            _default(args.k, 5),
+                            relation_mode=args.relation_mode,
+                            **cluster_kw,
+                        )
                 if args.auto_reorder:
                     sp.sym.bdd.auto_reorder = True
                 res = add_strong_convergence_symbolic(
@@ -203,19 +225,20 @@ def _synthesize_portfolio(args) -> int:
     n_workers, endpoints = _parse_workers(args.workers)
     trace_dir = args.trace or None
     t0 = time.perf_counter()
-    winner, completed = synthesize_parallel(
-        builder,
-        builder_args,
-        n_workers=n_workers,
-        trace_dir=trace_dir,
-        cache_dir=args.cache_dir,
-        hard_deadline=args.hard_deadline,
-        max_retries=args.max_retries,
-        resume=args.resume,
-        paranoid=args.paranoid,
-        worker_endpoints=endpoints,
-        lease_timeout=args.lease_timeout,
-    )
+    with _input_errors():
+        winner, completed = synthesize_parallel(
+            builder,
+            builder_args,
+            n_workers=n_workers,
+            trace_dir=trace_dir,
+            cache_dir=args.cache_dir,
+            hard_deadline=args.hard_deadline,
+            max_retries=args.max_retries,
+            resume=args.resume,
+            paranoid=args.paranoid,
+            worker_endpoints=endpoints,
+            lease_timeout=args.lease_timeout,
+        )
     elapsed = time.perf_counter() - t0
     n_cached = sum(1 for o in completed if o.cached)
     n_resumed = sum(1 for o in completed if o.resumed)
@@ -386,7 +409,8 @@ def _cmd_certify(args) -> int:
     elif args.engine == "symbolic":
         from .symbolic import SymbolicProtocol, add_strong_convergence_symbolic
 
-        sp = SymbolicProtocol(protocol)
+        with _input_errors():
+            sp = SymbolicProtocol(protocol)
         inv = sp.sym.from_predicate(invariant)
         res = add_strong_convergence_symbolic(protocol, inv, sp=sp)
         if not res.success:

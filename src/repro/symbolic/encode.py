@@ -18,14 +18,9 @@ conditions are served by the MDD layer (direct ladder constructions,
 linear in the bit count); this module adds the protocol-level plumbing:
 state-set conversions, transition groups, partitions and frames.
 
-Kernel selection
-----------------
-``SymbolicSpace(..., kernel=...)`` (also reachable through
-``SymbolicProtocol(..., kernel=...)``) picks the BDD kernel underneath
-the MDD layer: ``"array"`` (default) is the array-native kernel,
-``"reference"`` the retained dict implementation used as the
-differential-testing oracle; ``None`` reads the ``REPRO_BDD_KERNEL``
-environment variable.
+The encoding's bit count is bounded by :data:`repro.bdd.MAX_VARS`: a
+protocol whose current and next bits together exceed it raises
+``ValueError`` when its :class:`SymbolicSpace` is created.
 
 Relation representations
 ------------------------
@@ -86,18 +81,14 @@ class SymbolicSpace:
         *,
         auto_reorder: bool = False,
         reorder_threshold: int | None = None,
-        kernel: str | None = None,
     ):
         self.space = space
         #: the multi-valued layer owning the log-encoding (bit layout,
-        #: value/domain cubes, frame conditions); ``kernel`` selects the
-        #: array-native or the reference BDD kernel underneath it (None
-        #: reads ``REPRO_BDD_KERNEL``, default ``"array"``)
+        #: value/domain cubes, frame conditions)
         self.mdd = MDD(
             [v.domain_size for v in space.variables],
             [v.name for v in space.variables],
             pairs=True,
-            kernel=kernel,
         )
         self.n_bits_of: list[int] = list(self.mdd.n_bits)
         self.cur_levels: list[list[int]] = self.mdd.cur_levels
@@ -336,7 +327,6 @@ class SymbolicProtocol:
         *,
         relation_mode: str = "partitioned",
         cluster_size: int = 3,
-        kernel: str | None = None,
     ):
         if relation_mode not in RELATION_MODES:
             raise ValueError(
@@ -346,11 +336,7 @@ class SymbolicProtocol:
         if cluster_size < 1:
             raise ValueError(f"cluster_size must be >= 1, got {cluster_size}")
         self.protocol = protocol
-        self.sym = (
-            sym
-            if sym is not None
-            else SymbolicSpace(protocol.space, kernel=kernel)
-        )
+        self.sym = sym if sym is not None else SymbolicSpace(protocol.space)
         self.relation_mode = relation_mode
         self.cluster_size = cluster_size
         k = protocol.n_processes

@@ -209,3 +209,35 @@ def test_random_formula_semantics_vs_truth_table(seed):
     fn, node = build(4)
     for bits in itertools.product([False, True], repeat=n):
         assert bdd.eval(node, bits) == fn(bits)
+
+
+class TestVariableBound:
+    def test_too_many_variables_rejected(self):
+        from repro.bdd import MAX_VARS
+        from repro.bdd.mdd import MDD
+
+        with pytest.raises(ValueError, match="exceed the kernel's limit"):
+            BDD(MAX_VARS + 1)
+        # 300 ternary variables with cur/next pairs: 1200 bits
+        with pytest.raises(ValueError, match="exceed the kernel's limit"):
+            MDD([3] * 300, pairs=True)
+
+    def test_deepest_recursion_fits_at_the_bound(self):
+        """Every operator recurses once per level: at ``MAX_VARS`` the
+        deepest ones must still run inside the default recursion limit."""
+        from repro.bdd import MAX_VARS
+
+        n = MAX_VARS
+        bdd = BDD(n)
+        parity = ZERO
+        for v in range(n - 1, -1, -1):  # bottom-up: linear-size ladder
+            parity = bdd.xor(bdd.var(v), parity)
+        assert bdd.size(parity) == 2 * n + 1
+        evens = list(range(0, n, 2))
+        assert bdd.exists(evens, parity) == ONE
+        pairs = [(c, c + 1) for c in evens]
+        states = bdd.and_all(bdd.var(c) for c in evens)
+        pre = bdd.rel_product_pre(parity, states, pairs)
+        # pre(x) = ∃ next . parity(x, next) ∧ (every next bit true)
+        odds = {c + 1: True for c in evens}
+        assert pre == bdd.restrict(parity, odds)

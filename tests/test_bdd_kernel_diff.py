@@ -1,15 +1,20 @@
-"""Differential tests: array-native kernel vs the retained reference kernel.
+"""Differential tests: the BDD kernel against a truth-table model.
 
-The dict-of-tuples implementation that shipped through PR 6 survives as
-:class:`repro.bdd.reference.ReferenceBDD` for exactly this purpose: every
-random expression DAG and every structural operation (quantification,
-fused products, rename, restrict, GC, reordering) is executed lock-step
-on both kernels and the results are compared on all assignments — plus
-canonical size equality, which catches unique-table corruption that truth
-tables alone would miss.
+Every function over ``N_VARS = 6`` variables is modelled as a 64-bit
+truth table (row ``r`` assigns variable ``i`` the bit ``(r >> i) & 1``):
+connectives are bitwise, ``exists``/``forall`` are the OR/AND of the two
+cofactors, and ``rename``, ``restrict`` and the fused relational products
+are built from substitution, cofactors and quantification.  Random
+expression DAGs and random structural-operation sequences (quantification,
+fused products, rename, restrict, GC, forced sifting) run on the kernel
+and on the model, and every result is compared on all 64 assignments.
+
+Canonicity is asserted directly, which catches unique-table corruption
+that a truth-table comparison alone would miss: within one manager equal
+truth tables must have equal node ids, and ``size()`` must equal the
+ROBDD size computed from the truth table under the manager's current
+variable order.
 """
-
-import itertools
 
 import pytest
 
@@ -19,14 +24,139 @@ from hypothesis import strategies as st
 
 from repro.bdd import ONE, ZERO
 from repro.bdd.manager import BDD
-from repro.bdd.reference import ReferenceBDD
 
 N_VARS = 6
-ALL_ASSIGNMENTS = list(itertools.product([False, True], repeat=N_VARS))
+N_ROWS = 1 << N_VARS
+FULL = (1 << N_ROWS) - 1
+ALL_ASSIGNMENTS = [
+    tuple(bool(r >> i & 1) for i in range(N_VARS)) for r in range(N_ROWS)
+]
+#: VAR[i]: the rows where variable i is true
+VAR = [
+    sum(1 << r for r in range(N_ROWS) if r >> i & 1) for i in range(N_VARS)
+]
 #: interleaved (cur, next) pairing — the layout the symbolic engine uses
 PAIRS = [(0, 1), (2, 3), (4, 5)]
-CUR_VARS = [c for c, _ in PAIRS]
 
+
+# ----------------------------------------------------------------------
+# the truth-table model
+# ----------------------------------------------------------------------
+def cofactor(t: int, v: int, value: bool) -> int:
+    """``t`` with variable ``v`` fixed, as a table independent of ``v``."""
+    shift = 1 << v
+    half = (t >> shift if value else t) & (FULL ^ VAR[v])
+    return half | (half << shift)
+
+
+def tt_exists(t: int, variables) -> int:
+    for v in variables:
+        t = cofactor(t, v, False) | cofactor(t, v, True)
+    return t
+
+
+def tt_forall(t: int, variables) -> int:
+    for v in variables:
+        t = cofactor(t, v, False) & cofactor(t, v, True)
+    return t
+
+
+def depends(t: int, v: int) -> bool:
+    return cofactor(t, v, False) != cofactor(t, v, True)
+
+
+def tt_substitute(t: int, mapping: dict[int, int]) -> int:
+    """``t[old := new]`` for every ``old -> new`` in ``mapping`` at once."""
+    out = 0
+    for r in range(N_ROWS):
+        src = r
+        for old, new in mapping.items():
+            src = (src & ~(1 << old)) | ((r >> new & 1) << old)
+        if t >> src & 1:
+            out |= 1 << r
+    return out
+
+
+def robdd_size(t: int, order: list[int]) -> int:
+    """Nodes (terminals included) of the ROBDD of ``t`` under ``order``."""
+    seen: set[int] = set()
+
+    def walk(u: int, i: int) -> None:
+        if u in seen:
+            return
+        seen.add(u)
+        if u in (0, FULL):
+            return
+        while not depends(u, order[i]):
+            i += 1
+        v = order[i]
+        walk(cofactor(u, v, False), i + 1)
+        walk(cofactor(u, v, True), i + 1)
+
+    walk(t, 0)
+    return len(seen)
+
+
+_BINOPS = {
+    "and": ("and_", lambda a, b: a & b),
+    "or": ("or_", lambda a, b: a | b),
+    "xor": ("xor", lambda a, b: a ^ b),
+    "implies": ("implies", lambda a, b: (FULL ^ a) | b),
+    "iff": ("iff", lambda a, b: FULL ^ (a ^ b)),
+    "diff": ("diff", lambda a, b: a & (FULL ^ b)),
+}
+
+
+class Checked:
+    """One manager plus the canonicity registry (table -> node id)."""
+
+    def __init__(self, blocks=None):
+        self.bdd = BDD(N_VARS)
+        if blocks is not None:
+            self.bdd.set_reorder_blocks(blocks)
+        self.ids: dict[int, int] = {}
+
+    def check(self, node: int, table: int) -> None:
+        bdd = self.bdd
+        got = 0
+        for r, bits in enumerate(ALL_ASSIGNMENTS):
+            if bdd.eval(node, bits):
+                got |= 1 << r
+        assert got == table
+        assert self.ids.setdefault(table, node) == node, "equal functions, two ids"
+        assert bdd.size(node) == robdd_size(table, bdd.var_order())
+        assert bdd.count_sat(node, N_VARS) == bin(table).count("1")
+
+    def forget(self, *keep: tuple[int, int]) -> None:
+        """After GC, unrooted ids may be recycled: keep only live entries."""
+        self.ids = {table: node for node, table in keep}
+        self.ids.update({0: ZERO, FULL: ONE})
+
+    def build(self, expr) -> tuple[int, int]:
+        """``(node, table)`` of an expression, checking every subterm."""
+        bdd = self.bdd
+        tag = expr[0]
+        if tag == "const":
+            node, table = (ONE, FULL) if expr[1] else (ZERO, 0)
+        elif tag == "var":
+            node, table = bdd.var(expr[1]), VAR[expr[1]]
+        elif tag == "not":
+            f, tf = self.build(expr[1])
+            node, table = bdd.not_(f), FULL ^ tf
+        elif tag == "ite":
+            (f, tf), (g, tg), (h, th) = (self.build(e) for e in expr[1:])
+            node, table = bdd.ite(f, g, h), (tf & tg) | ((FULL ^ tf) & th)
+        else:
+            method, model = _BINOPS[tag]
+            (f, tf), (g, tg) = self.build(expr[1]), self.build(expr[2])
+            node, table = getattr(bdd, method)(f, g), model(tf, tg)
+        self.check(node, table)
+        return node, table
+
+
+# ----------------------------------------------------------------------
+# strategies
+# ----------------------------------------------------------------------
 _LEAVES = st.one_of(
     st.booleans().map(lambda b: ("const", b)),
     st.integers(0, N_VARS - 1).map(lambda i: ("var", i)),
@@ -36,44 +166,13 @@ _LEAVES = st.one_of(
 def _extend(children):
     return st.one_of(
         st.tuples(st.just("not"), children),
-        st.tuples(
-            st.sampled_from(["and", "or", "xor", "implies", "iff", "diff"]),
-            children,
-            children,
-        ),
+        st.tuples(st.sampled_from(sorted(_BINOPS)), children, children),
         st.tuples(st.just("ite"), children, children, children),
     )
 
 
 EXPRESSIONS = st.recursive(_LEAVES, _extend, max_leaves=16)
 
-_BINOPS = {
-    "and": "and_",
-    "or": "or_",
-    "xor": "xor",
-    "implies": "implies",
-    "iff": "iff",
-    "diff": "diff",
-}
-
-
-def build(bdd, expr) -> int:
-    tag = expr[0]
-    if tag == "const":
-        return ONE if expr[1] else ZERO
-    if tag == "var":
-        return bdd.var(expr[1])
-    if tag == "not":
-        return bdd.not_(build(bdd, expr[1]))
-    if tag == "ite":
-        return bdd.ite(
-            build(bdd, expr[1]), build(bdd, expr[2]), build(bdd, expr[3])
-        )
-    return getattr(bdd, _BINOPS[tag])(build(bdd, expr[1]), build(bdd, expr[2]))
-
-
-# Structural operations applied lock-step to both kernels.  Each entry is
-# (tag, *args); ``apply_op`` interprets it against one kernel.
 _VAR_SUBSETS = st.sets(st.integers(0, N_VARS - 1), min_size=1, max_size=3)
 _PAIR_SUBSETS = st.sets(st.sampled_from(PAIRS), min_size=1, max_size=3)
 
@@ -92,168 +191,124 @@ STRUCTURAL_OPS = st.lists(
             ),
         ),
         st.tuples(st.just("gc")),
+        st.tuples(st.just("reorder")),
     ),
     min_size=1,
     max_size=5,
 )
 
 
-def apply_op(bdd, f: int, op) -> int:
+def apply_op(c: Checked, f: int, tf: int, op) -> tuple[int, int]:
+    """Apply one structural op to the kernel and to the model."""
+    bdd = c.bdd
     tag = op[0]
     if tag == "exists":
-        return bdd.exists(sorted(op[1]), f)
+        return bdd.exists(sorted(op[1]), f), tt_exists(tf, op[1])
     if tag == "forall":
-        return bdd.forall(sorted(op[1]), f)
+        return bdd.forall(sorted(op[1]), f), tt_forall(tf, op[1])
     if tag == "and_exists":
-        return bdd.and_exists(f, build(bdd, op[1]), sorted(op[2]))
+        g, tg = c.build(op[1])
+        return bdd.and_exists(f, g, sorted(op[2])), tt_exists(tf & tg, op[2])
     if tag == "rename_fwd":
-        # cur -> next over a subset of the interleaved pairs: always
-        # order-preserving, exactly like the engine's subset renames
-        return bdd.rename(f, {c: n for c, n in sorted(op[1])})
+        # cur -> next over a subset of the interleaved pairs, exactly like
+        # the engine's subset renames.  The single-traversal rename may
+        # reject a mapping whose target is already in the support.
+        mapping = dict(sorted(op[1]))
+        try:
+            node = bdd.rename(f, mapping)
+        except ValueError:
+            assert any(depends(tf, n) for n in mapping.values())
+            return f, tf
+        return node, tt_substitute(tf, mapping)
     if tag == "rel_pre":
-        rel = build(bdd, op[1])
-        return bdd.rel_product_pre(rel, f, tuple(sorted(op[2])))
+        pairs = tuple(sorted(op[2]))
+        rel, trel = c.build(op[1])
+        written_next = [n for _, n in pairs]
+        # the contract: the state set does not mention the written next bits
+        states = bdd.exists(written_next, f)
+        tstates = tt_exists(tf, written_next)
+        shifted = tt_substitute(tstates, {cur: nxt for cur, nxt in pairs})
+        expect = tt_exists(trel & shifted, written_next)
+        return bdd.rel_product_pre(rel, states, pairs), expect
     if tag == "rel_post":
-        rel = build(bdd, op[1])
-        return bdd.rel_product_post(rel, f, tuple(sorted(op[2])))
+        pairs = tuple(sorted(op[2]))
+        rel, trel = c.build(op[1])
+        image = tt_exists(trel & tf, [cur for cur, _ in pairs])
+        expect = tt_substitute(image, {nxt: cur for cur, nxt in pairs})
+        return bdd.rel_product_post(rel, f, pairs), expect
     if tag == "restrict":
-        return bdd.restrict(f, op[1])
+        table = tf
+        for v, value in op[1].items():
+            table = cofactor(table, v, value)
+        return bdd.restrict(f, op[1]), table
     if tag == "gc":
         with bdd.protect(f):
             bdd.collect_garbage()
-        return f
+        c.forget((f, tf))
+        return f, tf
+    if tag == "reorder":
+        with bdd.protect(f):
+            bdd.reorder()
+        return f, tf
     raise AssertionError(tag)
 
 
-def assert_same_function(array, fa: int, ref, fr: int) -> None:
-    for bits in ALL_ASSIGNMENTS:
-        assert array.eval(fa, bits) == ref.eval(fr, bits)
-    # canonical size equality — catches unique-table corruption that a
-    # truth table over shared assignments cannot
-    assert array.size(fa) == ref.size(fr)
-    assert array.count_sat(fa, N_VARS) == ref.count_sat(fr, N_VARS)
+# ----------------------------------------------------------------------
+# tests
+# ----------------------------------------------------------------------
+def test_model_tables_are_exact():
+    """The model's own building blocks on hand-checked functions."""
+    x0, x1 = VAR[0], VAR[1]
+    assert tt_exists(x0 & x1, [0]) == x1
+    assert tt_forall(x0 | x1, [0]) == x1
+    assert tt_substitute(x0, {0: 1}) == x1
+    assert robdd_size(x0 & x1, list(range(N_VARS))) == 4
+    assert robdd_size(0, list(range(N_VARS))) == 1
 
 
 @given(EXPRESSIONS)
 @settings(max_examples=150, deadline=None)
 def test_expression_dags_agree(expr):
-    array = BDD(N_VARS)
-    ref = ReferenceBDD(N_VARS)
-    assert_same_function(array, build(array, expr), ref, build(ref, expr))
-
-
-def apply_both(array, fa, ref, fr, op):
-    """Apply one op to both kernels; a ValueError (e.g. a rename whose
-    target collides with an unmapped support variable) must be raised by
-    both or neither.  Returns the new (fa, fr) — unchanged on a
-    symmetric rejection."""
-    try:
-        fa2 = apply_op(array, fa, op)
-        a_raised = False
-    except ValueError:
-        a_raised = True
-    try:
-        fr2 = apply_op(ref, fr, op)
-        r_raised = False
-    except ValueError:
-        r_raised = True
-    assert a_raised == r_raised, f"kernels disagree on rejecting {op!r}"
-    return (fa, fr) if a_raised else (fa2, fr2)
+    Checked().build(expr)
 
 
 @given(EXPRESSIONS, STRUCTURAL_OPS)
 @settings(max_examples=150, deadline=None)
 def test_structural_ops_agree(expr, ops):
-    array = BDD(N_VARS)
-    ref = ReferenceBDD(N_VARS)
-    fa = build(array, expr)
-    fr = build(ref, expr)
+    c = Checked(blocks=PAIRS)
+    f, tf = c.build(expr)
     for op in ops:
-        fa, fr = apply_both(array, fa, ref, fr, op)
-        assert_same_function(array, fa, ref, fr)
-
-
-@given(EXPRESSIONS, STRUCTURAL_OPS)
-@settings(max_examples=60, deadline=None)
-def test_small_budget_fallback_agrees(expr, ops):
-    """A tiny scalar budget forces every sizeable operation through the
-    batched BFS engines; the result must not depend on which path ran."""
-    array = BDD(N_VARS)
-    array.scalar_budget = 2
-    ref = ReferenceBDD(N_VARS)
-    fa = build(array, expr)
-    fr = build(ref, expr)
-    for op in ops:
-        fa, fr = apply_both(array, fa, ref, fr, op)
-        assert_same_function(array, fa, ref, fr)
+        f, tf = apply_op(c, f, tf, op)
+        c.check(f, tf)
 
 
 @given(EXPRESSIONS, STRUCTURAL_OPS)
 @settings(max_examples=60, deadline=None)
 def test_ops_agree_after_reorder(expr, ops):
-    """Same comparison with sifting forced in between.  Orders may end up
-    different per kernel (they sift different garbage populations), so
-    only semantics is compared here, via variable-indexed eval."""
-    array = BDD(N_VARS)
-    ref = ReferenceBDD(N_VARS)
-    for b in (array, ref):
-        b.set_reorder_blocks(PAIRS)
-    fa = build(array, expr)
-    fr = build(ref, expr)
-    with array.protect(fa):
-        array.reorder()
-    with ref.protect(fr):
-        ref.reorder()
+    """Sifting first, then the op sequence under the reached order."""
+    c = Checked(blocks=PAIRS)
+    f, tf = c.build(expr)
+    with c.bdd.protect(f):
+        c.bdd.reorder()
+    c.check(f, tf)
     for op in ops:
-        fa, fr = apply_both(array, fa, ref, fr, op)
-        for bits in ALL_ASSIGNMENTS:
-            assert array.eval(fa, bits) == ref.eval(fr, bits)
+        f, tf = apply_op(c, f, tf, op)
+        c.check(f, tf)
 
 
 @given(EXPRESSIONS)
 @settings(max_examples=60, deadline=None)
 def test_rename_rejection_agrees(expr):
-    """Both kernels must reject (or both accept) a mapping that moves a
-    variable across an unmapped one in the operand's support."""
-    array = BDD(N_VARS)
-    ref = ReferenceBDD(N_VARS)
-    fa = build(array, expr)
-    fr = build(ref, expr)
-    mapping = {0: 3}  # jumps vars 1 and 2; legal only if they are absent
-    outcomes = []
-    for bdd, f in ((array, fa), (ref, fr)):
-        try:
-            outcomes.append(("ok", None))
-            bdd.rename(f, mapping)
-        except ValueError:
-            outcomes[-1] = ("raised", None)
-    assert outcomes[0] == outcomes[1]
-
-
-def test_env_variable_selects_reference_kernel(monkeypatch):
-    from repro.bdd.mdd import make_kernel
-
-    monkeypatch.setenv("REPRO_BDD_KERNEL", "reference")
-    assert isinstance(make_kernel(4), ReferenceBDD)
-    monkeypatch.setenv("REPRO_BDD_KERNEL", "array")
-    assert isinstance(make_kernel(4), BDD)
-    monkeypatch.delenv("REPRO_BDD_KERNEL")
-    assert isinstance(make_kernel(4), BDD)
-    monkeypatch.setenv("REPRO_BDD_KERNEL", "zdd")
-    with pytest.raises(ValueError):
-        make_kernel(4)
-
-
-def test_symbolic_space_kernel_parameter():
-    from repro.protocols.coloring import coloring_space
-    from repro.symbolic.encode import SymbolicSpace
-
-    space = coloring_space(3, 3)
-    sym_ref = SymbolicSpace(space, kernel="reference")
-    sym_arr = SymbolicSpace(space, kernel="array")
-    assert isinstance(sym_ref.bdd, ReferenceBDD)
-    assert isinstance(sym_arr.bdd, BDD)
-    # the two kernels build identical state sets
-    assert sym_ref.count_states(sym_ref.domain_cur) == sym_arr.count_states(
-        sym_arr.domain_cur
-    )
+    """``{0: 3}`` moves variable 0 past variables 1 and 2 and onto 3: the
+    kernel must reject it exactly when ``f`` depends on variable 0 and on
+    one of those, and otherwise return the substitution."""
+    c = Checked()
+    f, tf = c.build(expr)
+    crossing = depends(tf, 0) and any(depends(tf, v) for v in (1, 2, 3))
+    try:
+        node = c.bdd.rename(f, {0: 3})
+    except ValueError:
+        assert crossing
+    else:
+        assert not crossing
+        c.check(node, tt_substitute(tf, {0: 3}))

@@ -113,6 +113,43 @@ class TestCli:
             f"stsyn: cannot write trace {target}: No such file or directory\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["synthesize", "coloring", "-k", "2"], "coloring on a ring needs K >= 3"),
+            (["synthesize", "coloring", "-k", "0"], "coloring on a ring needs K >= 3"),
+            (["synthesize", "matching", "-k", "1", "--engine", "symbolic"],
+             "matching on a ring needs K >= 3"),
+            (["synthesize", "token-ring", "-k", "1"], "token ring needs K >= 2"),
+            (["synthesize", "token-ring", "-k", "3", "-d", "0"],
+             "token ring needs |D| >= 2"),
+            (["verify", "coloring", "-k", "2"], "coloring on a ring needs K >= 3"),
+            (["synthesize", "coloring", "-k", "2", "--workers", "2"],
+             "coloring on a ring needs K >= 3"),
+            # 3^88 overflows the state-space strides before any BDD exists
+            (["synthesize", "coloring", "-k", "129", "--engine", "symbolic"],
+             "state space too large even for symbolic strides"),
+        ],
+    )
+    def test_bad_size_is_one_line_exit_2(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"stsyn: {message}")
+        assert err.count("\n") == 1
+
+    def test_kernel_variable_bound_is_one_line_exit_2(self, monkeypatch, capsys):
+        # coloring K=5 encodes 5 x 2 bits x (cur, next) = 20 BDD variables
+        monkeypatch.setattr("repro.bdd.manager.MAX_VARS", 16)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["synthesize", "coloring", "-k", "5", "--engine", "symbolic"])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err == (
+            "stsyn: 20 BDD variables exceed the kernel's limit of 16 "
+            "(its operators recurse once per variable)\n"
+        )
+
     def test_closed_pipe_exits_1_without_traceback(self):
         # stdout is a pipe whose reader is already gone: every flush fails
         # with EPIPE, as with ``stsyn ... | head -1``
