@@ -251,10 +251,12 @@ class Orchestrator:
 
             self.metrics.inc("service.synth_runs")
             job.cancel_event = mp.Event()
-            if job.cancel_requested:
-                raise PortfolioError("cancelled before dispatch")
             race_dir = os.path.join(job.job_dir, "race")
             try:
+                # inside the try so a cancel that lands between the
+                # running transition and dispatch settles as cancelled
+                if job.cancel_requested:
+                    raise PortfolioError("cancelled before dispatch")
                 winner, _completed = synthesize_parallel(
                     builder,
                     builder_args,
