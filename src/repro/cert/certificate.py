@@ -54,6 +54,16 @@ def invariant_hash(invariant: Predicate) -> str:
     return hashlib.sha256(invariant.mask.tobytes()).hexdigest()
 
 
+def literal_var(var, n_vars: int) -> int:
+    """The variable index of a rank-cube literal, checked against a
+    ``n_vars``-variable space (both checkers decode cubes through this)."""
+    if not 0 <= int(var) < n_vars:
+        raise CertificateError(
+            f"cube literal names variable {var} of a {n_vars}-variable space"
+        )
+    return int(var)
+
+
 def _group_id_list(payload, what: str) -> list[tuple[int, int, int]]:
     if not isinstance(payload, list):
         raise CertificateError(f"certificate field {what!r} is not a list")
@@ -140,12 +150,8 @@ class ConvergenceCertificate:
         for cube in cubes:
             hit = np.ones(space.size, dtype=bool)
             for var, value in cube:
-                if not 0 <= int(var) < space.n_vars:
-                    raise CertificateError(
-                        f"cube literal names variable {var} of a "
-                        f"{space.n_vars}-variable space"
-                    )
-                hit &= space.var_array(int(var)) == int(value)
+                var = literal_var(var, space.n_vars)
+                hit &= space.var_array(var) == int(value)
             mask |= hit
         return mask
 

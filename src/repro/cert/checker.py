@@ -41,6 +41,7 @@ from .certificate import (
     CertificateError,
     ConvergenceCertificate,
     invariant_hash,
+    literal_var,
 )
 
 #: violation kinds, in the order the checks run
@@ -481,14 +482,18 @@ def check_certificate_symbolic(
                 f"{len(cert.rank_cubes)} cube levels for max_rank "
                 f"{cert.max_rank}",
             )
+        n_vars = sym.space.n_vars
         levels = []
         for cubes in cert.rank_cubes:
             level = ZERO
             for cube in cubes:
                 try:
                     c = bdd.and_all(
-                        sym.value_cube(int(v), int(val)) for v, val in cube
+                        sym.value_cube(literal_var(v, n_vars), int(val))
+                        for v, val in cube
                     )
+                except CertificateError as exc:
+                    raise CertificateViolation("encoding", str(exc)) from exc
                 except ValueError as exc:
                     raise CertificateViolation(
                         "encoding", f"bad cube literal: {exc}"
@@ -561,17 +566,25 @@ def check_certificate_symbolic(
             )
 
     n_ranked = sym.count_states(ranked)
+    pair_domain = bdd.and_(sym.domain_cur, sym.domain_next)
+    n_edges = sum(
+        bdd.count_sat(bdd.and_(rel, pair_domain)) for rel in relations
+    )
     if cert.mode == "strong":
-        # ok_pairs: (s, s') with rank(s') < rank(s) — the "down" relation
-        below = levels[0]
-        ok_pairs = ZERO
-        for level in levels[1:]:
-            ok_pairs = bdd.or_(ok_pairs, bdd.and_(level, sym.prime(below)))
-            below = bdd.or_(below, level)
+        # a transition from level k must land strictly below k, i.e. not in
+        # up_k = L_k ∪ L_{k+1} ∪ …: one conjunction per process and level,
+        # empty on a valid certificate, and the offending pairs otherwise
+        steps = []
+        up = ZERO
+        for level in reversed(levels[1:]):
+            up = bdd.or_(up, level)
+            steps.append((level, sym.prime(up)))
         enabled = ZERO
         for j, rel in enumerate(relations):
-            bad_rel = bdd.diff(bdd.and_(rel, ranked), ok_pairs)
-            bad_rel = bdd.and_(bad_rel, sym.domain_next)
+            bad_rel = bdd.or_all(
+                bdd.and_(bdd.and_(rel, level), up_next)
+                for level, up_next in steps
+            )
             if bad_rel != ZERO:
                 t = _pick_transition(sp, bad_rel)
                 raise CertificateViolation(
@@ -616,5 +629,5 @@ def check_certificate_symbolic(
         engine="symbolic",
         max_rank=cert.max_rank,
         n_ranked=n_ranked,
-        n_edges_checked=0,
+        n_edges_checked=n_edges,
     )

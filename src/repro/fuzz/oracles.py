@@ -60,6 +60,7 @@ from ..symbolic import (
     SymbolicProtocol,
     add_strong_convergence_symbolic,
     compute_ranks_symbolic,
+    cycle_core,
     gentilini_sccs,
     lockstep_sccs,
     xie_beerel_sccs,
@@ -300,13 +301,26 @@ def _explicit_scc_sets(instance: FuzzInstance) -> set[frozenset[int]]:
 
 
 def oracle_sccs(instance: FuzzInstance, ctx: OracleContext) -> list[Finding]:
-    """Cyclic SCCs of ``δp | ¬I``: Tarjan vs Gentilini vs Xie-Beerel vs lockstep."""
+    """Cyclic SCCs of ``δp | ¬I``: Tarjan vs Gentilini vs Xie-Beerel vs
+    lockstep, and the trimmed cycle core that all three start from."""
     explicit = _explicit_scc_sets(instance)
     sp, inv = _sp(instance)
     sym = sp.sym
     not_i = sym.bdd.diff(sym.domain_cur, inv)
     relations = sp.relations_for(instance.protocol.groups)
     findings = []
+    # the core must contain every cyclic SCC and be empty iff there are none
+    core = sym.to_mask(cycle_core(sym, relations, not_i))
+    missed = sum(1 for c in explicit if not core[list(c)].all())
+    if missed or core.any() != bool(explicit):
+        findings.append(
+            _finding(
+                instance,
+                "sccs",
+                f"cycle core has {int(core.sum())} states and misses "
+                f"{missed} of {len(explicit)} Tarjan cyclic SCC(s)",
+            )
+        )
     for name, algorithm in (
         ("gentilini", gentilini_sccs),
         ("xie_beerel", xie_beerel_sccs),

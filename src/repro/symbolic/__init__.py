@@ -28,6 +28,7 @@ from .ranking import (
 from .scc import (
     SCC_ALGORITHMS,
     SymbolicInternalError,
+    cycle_core,
     gentilini_sccs,
     lockstep_sccs,
     scc_algorithm_by_name,
@@ -48,6 +49,7 @@ __all__ = [
     "backward_closure",
     "compute_pim_groups_symbolic",
     "compute_ranks_symbolic",
+    "cycle_core",
     "forward_closure",
     "gentilini_sccs",
     "lockstep_sccs",

@@ -9,11 +9,15 @@ Three implementations over BDD state sets:
   ``Detect_SCC`` implements (Section V cites it explicitly);
 * :func:`lockstep_sccs` — Bloem–Gazi–Somenzi lockstep search
   (``O(n log n)`` symbolic steps): forward and backward sets grow in
-  lockstep, the first to converge caps the other, and a trimming prepass
-  strips the acyclic fringe before each pick.
+  lockstep, the first to converge caps the other, and every recursion
+  re-trims its part before the pick.
 
-All return the *cyclic* SCCs only (>= 2 states; the group model admits no
-self-loops) and are differentially tested against the explicit Tarjan.
+All three start from :func:`cycle_core`, the trimming fixpoint that strips
+the acyclic fringe (every cyclic SCC survives it, and it is empty exactly
+when there is no cycle), so an acyclic input costs only the trimming
+rounds and no decomposition.  All return the *cyclic* SCCs only (>= 2 states; the
+group model admits no self-loops) and are differentially tested against
+the explicit Tarjan.
 Every fixpoint iteration issues one fused kernel sweep
 (:func:`repro.symbolic.image.preimage_union` with ``within``/``subtract``)
 instead of a per-cluster loop of scalar products — see
@@ -78,7 +82,9 @@ def xie_beerel_sccs(
     tracer = current_tracer()
     out: list[int] = []
     with tracer.span("scc.xie_beerel") as span:
-        work = [sym.bdd.and_(universe, sym.domain_cur)]
+        work = [
+            cycle_core(sym, relations, sym.bdd.and_(universe, sym.domain_cur))
+        ]
         while work:
             v = work.pop()
             if v == ZERO:
@@ -108,15 +114,20 @@ def _forward_set(
 
 
 # ----------------------------------------------------------------------
-# Bloem-Gazi-Somenzi lockstep
+# trimming: the acyclicity primitive
 # ----------------------------------------------------------------------
 
 
-def _trim(sym: SymbolicSpace, relations: Sequence[RelationLike], v: int) -> int:
-    """Strip the acyclic fringe: iterate ``v ← v ∩ pre(v) ∩ post(v)``
-    until fixpoint.  States without both a predecessor and a successor in
-    ``v`` lie on no cycle, so no cyclic SCC is lost; each round is two
-    fused sweeps."""
+def cycle_core(
+    sym: SymbolicSpace, relations: Sequence[RelationLike], v: int
+) -> int:
+    """The largest subset of ``v`` in which every state has a predecessor
+    and a successor (Bloem–Gazi–Somenzi trimming).
+
+    Iterates ``v ← v ∩ pre(v) ∩ post(v)`` to the fixpoint: a state
+    without both lies on no cycle inside ``v``, so the core contains every
+    cyclic SCC of ``v`` and is empty iff ``v`` has no cycle.  Each round
+    is two fused sweeps.  ``v`` must lie within ``sym.domain_cur``."""
     while v != ZERO:
         has_succ = preimage_union(sym, relations, v, within=v)
         if has_succ == ZERO:
@@ -126,6 +137,11 @@ def _trim(sym: SymbolicSpace, relations: Sequence[RelationLike], v: int) -> int:
             return v
         v = nxt
     return v
+
+
+# ----------------------------------------------------------------------
+# Bloem-Gazi-Somenzi lockstep
+# ----------------------------------------------------------------------
 
 
 def lockstep_sccs(
@@ -148,7 +164,7 @@ def lockstep_sccs(
             v = work.pop()
             if v == ZERO:
                 continue
-            v = _trim(sym, relations, v)
+            v = cycle_core(sym, relations, v)
             if v == ZERO:
                 continue
             tracer.count("scc.lockstep_picks")
@@ -229,10 +245,11 @@ def gentilini_sccs(
     steps (the paper's ``Detect_SCC``).  Returns cyclic SCCs only."""
     tracer = current_tracer()
     out: list[int] = []
-    work = [
-        _Task(v=sym.bdd.and_(universe, sym.domain_cur), s=ZERO, n=ZERO)
-    ]
     with tracer.span("scc.gentilini") as span:
+        core = cycle_core(
+            sym, relations, sym.bdd.and_(universe, sym.domain_cur)
+        )
+        work = [_Task(v=core, s=ZERO, n=ZERO)]
         out.extend(_gentilini_loop(sym, relations, work, tracer))
         span["n_sccs"] = len(out)
     return out

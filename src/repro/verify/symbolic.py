@@ -16,7 +16,7 @@ from ..bdd import ZERO
 from ..protocol.protocol import Protocol
 from ..symbolic.encode import SymbolicProtocol
 from ..symbolic.image import backward_closure, postimage_union
-from ..symbolic.scc import gentilini_sccs
+from ..symbolic.scc import cycle_core
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,9 @@ def analyze_stabilization_symbolic(
     )
     deadlocks = sym.bdd.diff(not_i, enabled)
 
-    # non-progress cycles in δp | ¬I
-    sccs = gentilini_sccs(sym, relations, not_i)
+    # non-progress cycles in δp | ¬I: only their existence matters, and
+    # the trimmed core of ¬I is empty exactly when there is none
+    has_cycles = cycle_core(sym, relations, not_i) != ZERO
 
     # weak convergence: backward closure of I covers the space
     reach = backward_closure(sym, relations, invariant)
@@ -80,6 +81,6 @@ def analyze_stabilization_symbolic(
     return SymbolicVerdict(
         closed=closed,
         n_deadlocks=sym.count_states(deadlocks),
-        has_cycles=bool(sccs),
+        has_cycles=has_cycles,
         n_unrecoverable=sym.count_states(unrecoverable),
     )

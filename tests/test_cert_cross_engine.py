@@ -65,6 +65,7 @@ class TestExplicitEmission:
         symbolic = check_certificate_symbolic(protocol, invariant, cert)
         assert explicit.n_ranked == symbolic.n_ranked
         assert explicit.max_rank == symbolic.max_rank
+        assert explicit.n_edges_checked == symbolic.n_edges_checked > 0
 
     def test_two_ring_explicit(self):
         protocol, invariant, cert = _explicit_cert(two_ring)
@@ -84,8 +85,9 @@ class TestSymbolicEmission:
         assert res.success
         cert = res.certificate()
         assert cert.encoding == "cubes"
-        check_certificate(protocol, invariant, cert)
-        check_certificate_symbolic(protocol, invariant, cert)
+        explicit = check_certificate(protocol, invariant, cert)
+        symbolic = check_certificate_symbolic(protocol, invariant, cert)
+        assert explicit.n_edges_checked == symbolic.n_edges_checked > 0
         pss = protocol.with_groups([set(g) for g in res.pss_groups])
         assert np.array_equal(
             cert.dense_rank(protocol.space),

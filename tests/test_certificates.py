@@ -27,6 +27,7 @@ from repro.cert import (
     tamper_certificate_payload,
 )
 from repro.cert.checker import VIOLATION_KINDS
+from repro.symbolic import SymbolicProtocol, add_strong_convergence_symbolic
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +269,104 @@ class TestViolations:
         assert check is None
         assert violation.kind == "well_foundedness"
         assert violation.transition is not None
+
+
+class TestSeveralViolations:
+    def test_symbolic_names_a_real_offending_transition(
+        self, ring, strong_cert
+    ):
+        """Lower one state of every level >= 2 to rank 1: transitions of
+        several processes, leaving several levels, stop decreasing."""
+        protocol, invariant = ring
+        cert = _reload(strong_cert)
+        rank = cert.rank.copy()
+        for level in range(2, cert.max_rank + 1):
+            rank[np.flatnonzero(rank == level)[0]] = 1
+        tampered = replace(cert, rank=rank)
+        offending = set()
+        levels = set()
+        groups = reconstruct_pss_groups(protocol, tampered)
+        for j, gs in enumerate(groups):
+            for r, w in gs:
+                src, dst = protocol.tables[j].pairs(r, w)
+                for s, t in zip(src.tolist(), dst.tolist()):
+                    if rank[s] > 0 and rank[t] >= rank[s]:
+                        offending.add((s, t))
+                        levels.add((j, int(cert.rank[s])))
+        assert len({j for j, _ in levels}) >= 2
+        assert len({k for _, k in levels}) >= 2
+        with pytest.raises(CertificateViolation) as symbolic_err:
+            check_certificate_symbolic(protocol, invariant, tampered)
+        assert symbolic_err.value.kind == "well_foundedness"
+        assert symbolic_err.value.transition in offending
+        _check, explicit = validate_certificate(protocol, invariant, tampered)
+        assert explicit.kind == "well_foundedness"
+        assert explicit.transition == symbolic_err.value.transition
+
+
+@pytest.fixture(scope="module")
+def cube_cert(ring):
+    protocol, invariant = ring
+    sp = SymbolicProtocol(protocol)
+    res = add_strong_convergence_symbolic(
+        protocol, sp.sym.from_predicate(invariant), sp=sp
+    )
+    assert res.success
+    cert = res.certificate()
+    assert cert.encoding == "cubes"
+    return cert
+
+
+def _with_literal_var(cert, old: int, new: int):
+    """``cert`` with every cube literal naming variable ``old`` renamed."""
+    levels = [
+        [[(new if v == old else v, val) for v, val in cube] for cube in cubes]
+        for cubes in cert.rank_cubes
+    ]
+    return replace(cert, rank_cubes=levels, _dense_cache=None)
+
+
+class TestCubeLiteralIndices:
+    """A cube literal must name a variable in ``[0, n_vars)``; both
+    checkers reject any other index with the same encoding violation."""
+
+    @pytest.mark.parametrize("bad", ["-1", "n_vars"])
+    def test_both_engines_reject(self, ring, cube_cert, bad):
+        protocol, invariant = ring
+        n = protocol.space.n_vars
+        index = -1 if bad == "-1" else n
+        cert = _with_literal_var(cube_cert, n - 1, index)
+        message = f"cube literal names variable {index} of a {n}-variable space"
+        _check, explicit = validate_certificate(protocol, invariant, cert)
+        assert explicit.kind == "encoding"
+        assert str(explicit) == message
+        with pytest.raises(CertificateViolation) as symbolic:
+            check_certificate_symbolic(protocol, invariant, cert)
+        assert symbolic.value.kind == "encoding"
+        assert str(symbolic.value) == message
+
+    @pytest.mark.parametrize("bad", ["-1", "n_vars"])
+    @pytest.mark.parametrize("engine", ["explicit", "symbolic"])
+    def test_cli_rejects(self, ring, cube_cert, bad, engine, tmp_path, capsys):
+        from repro.cli import main
+
+        protocol, _invariant = ring
+        n = protocol.space.n_vars
+        index = -1 if bad == "-1" else n
+        path = _with_literal_var(cube_cert, n - 1, index).save(
+            tmp_path / "bad.cert.json"
+        )
+        code = main(
+            ["check-cert", str(path), "token-ring", "-k", "3", "-d", "3",
+             "--engine", engine]
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert (
+            f"[encoding] cube literal names variable {index} of a "
+            f"{n}-variable space" in captured.out
+        )
+        assert "Traceback" not in captured.out + captured.err
 
 
 class TestSolutionCheckSatellites:

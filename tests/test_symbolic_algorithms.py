@@ -11,10 +11,12 @@ from repro.core.ranking import compute_ranks
 from repro.explicit.graph import TransitionView, backward_reachable, forward_reachable
 from repro.explicit.scc import cyclic_sccs
 from repro.protocols import token_ring
+from repro.verify.cycles import nonprogress_scc_labels
 from repro.symbolic import (
     SymbolicProtocol,
     backward_closure,
     compute_ranks_symbolic,
+    cycle_core,
     forward_closure,
     gentilini_sccs,
     lockstep_sccs,
@@ -136,6 +138,25 @@ class TestSymbolicSccs:
         assert gentilini_sccs(sym, relations, not_i) == []
         assert xie_beerel_sccs(sym, relations, not_i) == []
         assert lockstep_sccs(sym, relations, not_i) == []
+
+
+class TestCycleCore:
+    def test_core_decides_nonprogress_cycles(self):
+        """cycle_core(¬I) is empty iff Tarjan finds no cyclic SCC of
+        δp|¬I, and it contains every Tarjan cyclic SCC."""
+        seen = set()
+        for seed in range(12):
+            rng, protocol, sp = setup_random(500 + seed, density=0.25)
+            invariant = make_closed_invariant(rng, protocol)
+            sym = sp.sym
+            not_i = sym.bdd.diff(sym.domain_cur, sym.from_predicate(invariant))
+            core = cycle_core(sym, sp.process_relations(protocol.groups), not_i)
+            labels, sizes = nonprogress_scc_labels(protocol, invariant)
+            cyclic = len(sizes) > 0
+            assert (core != ZERO) == cyclic
+            assert not ((labels >= 0) & ~sym.to_mask(core)).any()
+            seen.add(cyclic)
+        assert seen == {True, False}  # both outcomes were exercised
 
 
 class TestSymbolicRanking:

@@ -11,7 +11,12 @@ from repro.protocols import (
     token_ring,
 )
 from repro.protocols.coloring import coloring_symbolic
-from repro.symbolic import SymbolicProtocol, add_strong_convergence_symbolic
+from repro.symbolic import (
+    SymbolicProtocol,
+    add_strong_convergence_symbolic,
+    gentilini_sccs,
+)
+from repro.trace.tracer import Tracer, use_tracer
 from repro.verify import analyze_stabilization
 from repro.verify.symbolic import analyze_stabilization_symbolic
 
@@ -87,3 +92,33 @@ class TestEndToEndSymbolic:
             result.protocol, sp.sym.from_predicate(invariant), sp=sp
         )
         assert verdict.strongly_stabilizing
+
+    def test_acyclicity_is_decided_without_decomposition(self):
+        """The verifier tests the trimmed cycle core for emptiness and
+        never runs the SCC decomposition."""
+        from repro.protocols.coloring import coloring_invariant_bdd
+
+        protocol, sp, inv = coloring_symbolic(9)
+        res = add_strong_convergence_symbolic(protocol, inv, sp=sp)
+        assert res.success
+        pss = res.to_protocol()
+        sp2 = SymbolicProtocol(pss)
+        inv2 = coloring_invariant_bdd(sp2.sym, 9)
+        tracer = Tracer(None)
+        with use_tracer(tracer):
+            verdict = analyze_stabilization_symbolic(pss, inv2, sp=sp2)
+        assert verdict.strongly_stabilizing
+        spans = {r["name"] for r in tracer.records if r["type"] == "span"}
+        assert "scc.gentilini" not in spans
+        assert "scc.gentilini_tasks" not in tracer.counters
+        # the tracer is live: the decomposition it skipped would show
+        sym = sp2.sym
+        with use_tracer(tracer):
+            gentilini_sccs(
+                sym,
+                sp2.relations_for(pss.groups),
+                sym.bdd.diff(sym.domain_cur, inv2),
+            )
+        assert "scc.gentilini" in {
+            r["name"] for r in tracer.records if r["type"] == "span"
+        }
