@@ -44,7 +44,7 @@ bounded by :data:`repro.bdd.manager.MAX_VARS`; a larger encoding raises
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .manager import BDD, ONE, ZERO
 
@@ -148,6 +148,26 @@ class MDD:
             )
             self._value_cubes[key] = cached
         return cached
+
+    def partial_cube(self, literals: Iterable[tuple[int, int]]) -> int:
+        """BDD of the conjunction of ``v_i == value`` over ``(i, value)``
+        literals, built by one :meth:`BDD.cube` over their bits.
+
+        The same node as ``and_all`` over the literals' :meth:`value_cube`
+        BDDs, including ``ZERO`` at the first literal that contradicts an
+        earlier one (later literals are then not read).
+        """
+        bits: dict[int, bool] = {}
+        for i, value in literals:
+            if not 0 <= value < self.domains[i]:
+                raise ValueError(f"{value} outside domain of variable {i}")
+            levels = self.cur_levels[i]
+            n = len(levels)
+            for b, level in enumerate(levels):
+                bit = bool((value >> (n - 1 - b)) & 1)
+                if bits.setdefault(level, bit) != bit:
+                    return ZERO
+        return self.bdd.cube(bits)
 
     def domain_cube(self, i: int, *, primed: bool = False) -> int:
         """Validity predicate ``v_i < domains[i]`` over the raw bits.

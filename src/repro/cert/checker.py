@@ -441,9 +441,10 @@ def check_certificate_symbolic(
     """Validate ``cert`` with BDD set algebra (same checks, same kinds).
 
     Accepts certificates of either encoding: dense rank arrays become
-    per-level BDDs via ``from_mask``; cube lists build levels directly from
-    value cubes.  ``sp`` (a :class:`~repro.symbolic.encode.SymbolicProtocol`
-    over ``original``) may be supplied to reuse an existing manager.
+    per-level BDDs via ``from_mask``; cube lists build each level from one
+    ``bdd.cube`` per rank cube.  ``sp`` (a
+    :class:`~repro.symbolic.encode.SymbolicProtocol` over ``original``) may
+    be supplied to reuse an existing manager.
     """
     from ..bdd import ZERO
     from ..symbolic.encode import SymbolicProtocol
@@ -488,9 +489,8 @@ def check_certificate_symbolic(
             level = ZERO
             for cube in cubes:
                 try:
-                    c = bdd.and_all(
-                        sym.value_cube(literal_var(v, n_vars), int(val))
-                        for v, val in cube
+                    c = sym.mdd.partial_cube(
+                        (literal_var(v, n_vars), int(val)) for v, val in cube
                     )
                 except CertificateError as exc:
                     raise CertificateViolation("encoding", str(exc)) from exc

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from ..explicit.graph import TransitionView
-from ..explicit.scc import scc_labels_after_addition
+from ..explicit.scc import GrowingGraph
 from ..metrics.stats import SynthesisStats
 from ..protocol.groups import GroupId
 from ..protocol.predicate import Predicate
@@ -66,15 +66,9 @@ class SynthesisState:
     #: per process: rcodes whose cylinder intersects I (constraint C1 cache)
     rcode_touches_i: list[np.ndarray] = field(init=False)
     not_i: np.ndarray = field(init=False)
-    #: flat ``(src, dst)`` of ``pss | ¬I`` — built on first use, extended
-    #: by ``commit_group`` through ``_pending`` chunks, dropped by
-    #: ``remove_group``
-    _pss_edges: tuple[np.ndarray, np.ndarray] | None = field(
-        init=False, default=None
-    )
-    _pending: list[tuple[np.ndarray, np.ndarray]] = field(
-        init=False, default_factory=list
-    )
+    #: ``pss | ¬I`` with its kept CSR — built on first use, extended by
+    #: ``commit_group``, dropped by ``remove_group``
+    _pss_graph: GrowingGraph | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         self.not_i = ~self.invariant.mask
@@ -112,25 +106,13 @@ class SynthesisState:
             self.protocol.tables, self.pss_groups, extra
         )
 
-    def pss_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flat ``(src, dst)`` arrays of ``pss | ¬I``.
-
-        Groups committed since the last read arrive as pending chunks and
-        are concatenated once here, not once per commit.
-        """
-        if self._pss_edges is None:
-            self._pss_edges = self.pss_view().edge_arrays(self.not_i)
-        elif self._pending:
-            src = np.concatenate([c[0] for c in self._pending])
-            dst = np.concatenate([c[1] for c in self._pending])
-            keep = self.not_i[src] & self.not_i[dst]
-            base_src, base_dst = self._pss_edges
-            self._pss_edges = (
-                np.concatenate([base_src, src[keep]]),
-                np.concatenate([base_dst, dst[keep]]),
+    def pss_graph(self) -> GrowingGraph:
+        """``pss | ¬I`` as a :class:`GrowingGraph` (views of one buffer)."""
+        if self._pss_graph is None:
+            self._pss_graph = GrowingGraph(
+                self.space.size, *self.pss_view().edge_arrays(self.not_i)
             )
-        self._pending.clear()
-        return self._pss_edges
+        return self._pss_graph
 
     # ------------------------------------------------------------------
     def commit_group(self, j: int, rcode: int, wcode: int) -> None:
@@ -139,8 +121,10 @@ class SynthesisState:
         self.pss_groups[j].add((rcode, wcode))
         self.added_groups[j].add((rcode, wcode))
         self.out_counts[src] += 1
-        if self._pss_edges is not None:
-            self._pending.append(table.pairs(rcode, wcode))
+        if self._pss_graph is not None:
+            dst = src + table.deltas[rcode, wcode]
+            keep = self.not_i[src] & self.not_i[dst]
+            self._pss_graph.append(src[keep], dst[keep])
         self.stats.bump("groups_added")
 
     def remove_group(self, j: int, rcode: int, wcode: int) -> None:
@@ -150,7 +134,7 @@ class SynthesisState:
         self.pss_groups[j].discard((rcode, wcode))
         self.removed_groups[j].add((rcode, wcode))
         self.out_counts[src] -= 1
-        self._pss_edges = None
+        self._pss_graph = None
         self.stats.bump("groups_removed")
 
     def result_protocol(self, name: str | None = None) -> Protocol:
@@ -166,8 +150,9 @@ def identify_resolve_cycles(
 
     Detects the cyclic SCCs of ``pss ∪ candidates`` restricted to ``¬I`` and
     returns every candidate group owning a transition with both endpoints in
-    one SCC.  ``pss`` is acyclic in ``¬I`` by induction, so detection runs on
-    the region reachable from / co-reachable to the candidate edges only.
+    one SCC.  ``pss`` is acyclic in ``¬I`` by induction, so a batch whose
+    targets lead nowhere new is settled by one forward level, and any other
+    batch by one compiled SCC pass (:meth:`GrowingGraph.scc_labels_with`).
     """
     if not candidates:
         return set()
@@ -178,9 +163,7 @@ def identify_resolve_cycles(
         add_src, add_dst, owner = TransitionView(
             state.protocol.tables, candidates
         ).indexed_edge_arrays(state.not_i)
-        labels, sizes = scc_labels_after_addition(
-            *state.pss_edges(), add_src, add_dst, state.space.size
-        )
+        labels, sizes = state.pss_graph().scc_labels_with(add_src, add_dst)
         state.stats.record_sccs(sizes.tolist())
         span["n_sccs"] = len(sizes)
         if not len(sizes):

@@ -7,7 +7,8 @@ Each oracle inspects one redundancy seam of the system and reports
                  (closure, deadlocks, cycles, unrecoverable states);
 ``ranks``        ``ComputeRanks`` rank partition, explicit vs symbolic;
 ``sccs``         cyclic SCCs of ``δp | ¬I``: compiled Tarjan vs Gentilini
-                 vs Xie-Beerel;
+                 vs Xie-Beerel vs lockstep, and vs the Identify_Resolve_Cycles
+                 path on a seeded split into an acyclic base and candidates;
 ``strong_weak``  Theorem IV.1 consistency: weak synthesis succeeds iff the
                  ranking admits stabilization, strong success implies weak,
                  weak winners re-verified;
@@ -53,7 +54,11 @@ from ..core.exceptions import (
 from ..core.heuristic import add_strong_convergence
 from ..core.weak import synthesize_weak
 from ..explicit.graph import TransitionView
-from ..explicit.scc import cyclic_sccs
+from ..explicit.scc import (
+    cyclic_sccs,
+    scc_labels_after_addition,
+    scc_members,
+)
 from ..faults.daemons import daemon_portfolio
 from ..faults.simulator import run as simulate
 from ..symbolic import (
@@ -300,15 +305,43 @@ def _explicit_scc_sets(instance: FuzzInstance) -> set[frozenset[int]]:
     return {frozenset(map(int, c)) for c in sccs}
 
 
+def _split_scc_sets(instance: FuzzInstance) -> set[frozenset[int]]:
+    """Cyclic SCCs of ``δp | ¬I`` by the Identify_Resolve_Cycles path: the
+    edges that descend in a seeded permutation of the states form an
+    acyclic base, and the remaining edges are the candidates (corpus
+    instances, seeded -1, use seed 0)."""
+    protocol, invariant = instance.protocol, instance.invariant
+    size = protocol.space.size
+    src, dst = TransitionView.of_protocol(protocol).edge_arrays(~invariant.mask)
+    position = np.random.default_rng(max(instance.seed, 0)).permutation(size)
+    down = position[src] > position[dst]
+    labels, sizes = scc_labels_after_addition(
+        src[down], dst[down], src[~down], dst[~down], size
+    )
+    return {frozenset(map(int, c)) for c in scc_members(labels, sizes)}
+
+
 def oracle_sccs(instance: FuzzInstance, ctx: OracleContext) -> list[Finding]:
     """Cyclic SCCs of ``δp | ¬I``: Tarjan vs Gentilini vs Xie-Beerel vs
-    lockstep, and the trimmed cycle core that all three start from."""
+    lockstep, the trimmed cycle core that all three start from, and the
+    Identify_Resolve_Cycles path on a split of the same edges."""
     explicit = _explicit_scc_sets(instance)
+    findings = []
+    split = _split_scc_sets(instance)
+    if split != explicit:
+        findings.append(
+            _finding(
+                instance,
+                "sccs",
+                f"Identify_Resolve_Cycles path SCCs differ from Tarjan: "
+                f"{len(split - explicit)} only-split, "
+                f"{len(explicit - split)} only-Tarjan",
+            )
+        )
     sp, inv = _sp(instance)
     sym = sp.sym
     not_i = sym.bdd.diff(sym.domain_cur, inv)
     relations = sp.relations_for(instance.protocol.groups)
-    findings = []
     # the core must contain every cyclic SCC and be empty iff there are none
     core = sym.to_mask(cycle_core(sym, relations, not_i))
     missed = sum(1 for c in explicit if not core[list(c)].all())

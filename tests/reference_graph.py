@@ -6,6 +6,9 @@ engine computes on flat edge arrays:
 * :func:`tarjan_sccs` — iterative Tarjan over a plain edge list;
 * :func:`forward_reachable` / :func:`backward_reachable` — level-by-level
   BFS with one numpy call per group per level;
+* :func:`region_scc_labels_after_addition` — the cyclic SCCs of
+  ``base ∪ added`` for an acyclic ``base``, found by a forward/backward BFS
+  region search around the added edges and one SCC pass on that region;
 * :func:`longest_path_ranks` — the ``rank(s) = 1 + max rank(successors)``
   fixpoint iterated with an ``np.maximum.at`` scatter.
 """
@@ -17,7 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.cert import CertificateEmissionError
-from repro.explicit.graph import TransitionView
+from repro.explicit.graph import TransitionView, reachable
+from repro.explicit.scc import scc_labels
 
 
 def tarjan_sccs(
@@ -87,6 +91,44 @@ def tarjan_sccs(
                 parent, _ = work[-1]
                 lowlink[parent] = min(lowlink[parent], lowlink[node])
     return out
+
+
+def region_scc_labels_after_addition(
+    base_src: np.ndarray,
+    base_dst: np.ndarray,
+    add_src: np.ndarray,
+    add_dst: np.ndarray,
+    size: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``scc_labels`` of ``base ∪ added``, assuming ``base`` is acyclic.
+
+    Every cycle then contains an added edge ``(s0, s1)``, hence lies in
+    ``F = forward(added targets)`` and closes at an ``s0 ∈ F``.  Nothing is
+    searched further when no added source is in ``F``; otherwise SCC
+    detection runs on the edges of the region ``F ∩ backward(those
+    sources)``.  Both searches follow base edges only: every added target
+    seeds the forward one, and every added source in ``F`` the backward
+    one.  The backward search keeps to the base edges leaving ``F``; ``F``
+    is forward-closed, so that loses no path inside it.
+    """
+    none = np.full(size, -1, dtype=np.int64), np.empty(0, dtype=np.int64)
+    if len(add_src) == 0:
+        return none
+    fwd = np.zeros(size, dtype=bool)
+    fwd[add_dst] = True
+    reachable(base_src, base_dst, fwd)
+    entries = add_src[fwd[add_src]]
+    if len(entries) == 0:
+        return none
+    keep = fwd[base_src]
+    src, dst = base_src[keep], base_dst[keep]
+    region = np.zeros(size, dtype=bool)
+    region[entries] = True
+    reachable(dst, src, region)
+    src = np.concatenate([src, add_src])
+    dst = np.concatenate([dst, add_dst])
+    keep = region[src] & region[dst]
+    return scc_labels(src[keep], dst[keep], size)
 
 
 def _start_mask(start: np.ndarray, size: int) -> np.ndarray:

@@ -369,6 +369,24 @@ class TestCubeLiteralIndices:
         assert "Traceback" not in captured.out + captured.err
 
 
+def test_partial_cube_is_the_and_of_value_cubes(ring, cube_cert):
+    """The checker decodes a rank cube with one ``bdd.cube`` over its bits;
+    that must be the very node the ``and_all`` of per-literal value cubes
+    builds, also for contradicting literals and the empty cube."""
+    protocol, _invariant = ring
+    sym = SymbolicProtocol(protocol).sym
+    cubes = [cube for level in cube_cert.rank_cubes for cube in level]
+    assert cubes
+    (v, val), other = cubes[0][0], (cubes[0][0][1] + 1) % 3
+    cubes += [[], [(v, val), (v, val)], [(v, val), (v, other)]]
+    for cube in cubes:
+        literals = [(int(i), int(value)) for i, value in cube]
+        want = sym.bdd.and_all(sym.value_cube(i, value) for i, value in literals)
+        assert sym.mdd.partial_cube(literals) == want
+    with pytest.raises(ValueError, match="outside domain"):
+        sym.mdd.partial_cube([(v, 3)])
+
+
 class TestSolutionCheckSatellites:
     def test_invariant_compared_as_state_sets(self, ring, strong_result):
         from repro.protocol.predicate import Predicate

@@ -3,13 +3,18 @@ implementations in ``reference_graph.py``.
 
 * flat ``forward_reachable``/``backward_reachable`` vs. the per-group BFS,
   with and without a ``within`` restriction;
-* the region-restricted ``cyclic_sccs_after_addition`` vs. full detection on
-  the union, over random acyclic bases;
+* the ``Identify_Resolve_Cycles`` path (:class:`GrowingGraph`: one-level
+  pre-check, then one SCC pass over a kept CSR plus hub rows) vs. full
+  detection on the union and vs. the BFS region search, over random DAG
+  bases, parallel edges in unsorted order, call sequences that cross the
+  CSR rebuild boundary, and the single-candidate calls of the
+  ``sequential`` and ``hybrid`` modes;
 * Kahn-peel ``longest_path_ranks`` vs. the ``np.maximum.at`` fixpoint: equal
   ranks, and a :class:`CertificateEmissionError` from both on exactly the
   inputs that do not strongly converge.
 """
 
+import importlib
 import random
 
 import numpy as np
@@ -23,6 +28,7 @@ from repro.core import HeuristicOptions, add_strong_convergence
 from repro.core.exceptions import SynthesisError
 from repro.explicit.graph import TransitionView, backward_reachable, forward_reachable
 from repro.explicit.scc import (
+    GrowingGraph,
     cyclic_sccs,
     cyclic_sccs_after_addition,
     scc_labels,
@@ -104,6 +110,31 @@ def test_addition_fast_path_matches_full_detection(seed):
     assert full == set(ref.tarjan_sccs(edges))
 
 
+def _arrays(edges):
+    return (
+        np.array([e[0] for e in edges], dtype=np.int64),
+        np.array([e[1] for e in edges], dtype=np.int64),
+    )
+
+
+def _assert_same_labelling(got, want):
+    """Two ``(labels, sizes)`` pairs name the same cyclic SCCs."""
+    assert _scc_sets(scc_members(*got)) == _scc_sets(scc_members(*want))
+    assert sorted(got[1].tolist()) == sorted(want[1].tolist())
+    assert np.array_equal(got[0] >= 0, want[0] >= 0)
+
+
+def _dag(size, raw, rnd):
+    """The edges of ``raw`` (taken mod ``size``) that run down a random
+    topological order."""
+    order = list(range(size))
+    rnd.shuffle(order)
+    pos = {s: i for i, s in enumerate(order)}
+    return [
+        (s % size, t % size) for s, t in raw if pos[s % size] > pos[t % size]
+    ]
+
+
 @given(
     st.integers(2, 30),
     st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=60),
@@ -112,32 +143,158 @@ def test_addition_fast_path_matches_full_detection(seed):
 )
 @settings(max_examples=200, deadline=None)
 def test_label_fast_path_on_random_dag_bases(size, raw_base, raw_added, rnd):
-    # a DAG base: every edge runs down a random topological order
-    order = list(range(size))
-    rnd.shuffle(order)
-    pos = {s: i for i, s in enumerate(order)}
-    base = [
-        (s % size, t % size)
-        for s, t in raw_base
-        if pos[s % size] > pos[t % size]
-    ]
+    base = _dag(size, raw_base, rnd)
     added = [(s % size, t % size) for s, t in raw_added if s % size != t % size]
-
-    def arrays(edges):
-        return (
-            np.array([e[0] for e in edges], dtype=np.int64),
-            np.array([e[1] for e in edges], dtype=np.int64),
-        )
-
-    labels, sizes = scc_labels_after_addition(*arrays(base), *arrays(added), size)
-    full_labels, full_sizes = scc_labels(*arrays(base + added), size)
-    assert _scc_sets(scc_members(labels, sizes)) == _scc_sets(
-        scc_members(full_labels, full_sizes)
-    )
+    labels, sizes = scc_labels_after_addition(*_arrays(base), *_arrays(added), size)
+    full_labels, full_sizes = scc_labels(*_arrays(base + added), size)
+    _assert_same_labelling((labels, sizes), (full_labels, full_sizes))
     assert _scc_sets(scc_members(full_labels, full_sizes)) == set(
         ref.tarjan_sccs(base + added)
     )
-    assert np.array_equal(labels >= 0, full_labels >= 0)
+    region = ref.region_scc_labels_after_addition(
+        *_arrays(base), *_arrays(added), size
+    )
+    _assert_same_labelling((labels, sizes), region)
+
+
+@given(
+    st.integers(2, 30),
+    st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=60),
+    st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=8),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=200, deadline=None)
+def test_parallel_edges_in_unsorted_order(size, raw_base, raw_added, rnd):
+    # every edge appears up to three times, rows are shuffled, and the added
+    # edges repeat each other and base edges
+    base = _dag(size, raw_base, rnd)
+    base = [e for e in base for _ in range(rnd.randint(1, 3))]
+    rnd.shuffle(base)
+    added = [(s % size, t % size) for s, t in raw_added if s % size != t % size]
+    added = added + added + rnd.sample(base, min(len(base), 3))
+    rnd.shuffle(added)
+    got = scc_labels_after_addition(*_arrays(base), *_arrays(added), size)
+    want = ref.region_scc_labels_after_addition(
+        *_arrays(base), *_arrays(added), size
+    )
+    _assert_same_labelling(got, want)
+    assert _scc_sets(scc_members(*got)) == set(ref.tarjan_sccs(base + added))
+
+
+def test_parallel_edges_on_a_case_study_graph():
+    # token ring's pss|¬I, each edge doubled, in random order, with the
+    # candidates of one Add_Recovery batch: the CSR shape scipy mishandles
+    # when its rows hold unsorted parallel edges
+    protocol, invariant = token_ring(4, 3)
+    size = protocol.space.size
+    rng = np.random.default_rng(3)
+    src, dst = TransitionView.of_protocol(protocol).edge_arrays(~invariant.mask)
+    perm = rng.permutation(2 * len(src))
+    src, dst = np.concatenate([src, src])[perm], np.concatenate([dst, dst])[perm]
+    groups = [
+        (j, r, w)
+        for j, table in enumerate(protocol.tables)
+        for (r, w) in table.iter_candidate_groups()
+        if (r, w) not in protocol.groups[j]
+    ]
+    picks = rng.choice(len(groups), 12, replace=False)
+    add_src, add_dst = TransitionView(
+        protocol.tables, [groups[i] for i in picks]
+    ).edge_arrays(~invariant.mask)
+    add_src, add_dst = np.tile(add_src, 2), np.tile(add_dst, 2)
+    got = scc_labels_after_addition(src, dst, add_src, add_dst, size)
+    want = ref.region_scc_labels_after_addition(src, dst, add_src, add_dst, size)
+    _assert_same_labelling(got, want)
+    full = scc_labels(
+        np.concatenate([src, add_src]), np.concatenate([dst, add_dst]), size
+    )
+    _assert_same_labelling(got, full)
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None)
+def test_call_sequence_crosses_the_rebuild_boundary(seed):
+    # grow one DAG by appends between calls; the CSR is rebuilt once the
+    # appended edges outnumber the built ones, and every call must agree
+    # with the region search on the edges present at that moment
+    rnd = random.Random(seed)
+    size = rnd.randint(8, 40)
+    order = list(range(size))
+    rnd.shuffle(order)
+    pos = {s: i for i, s in enumerate(order)}
+
+    def random_edges(k, downward):
+        out = []
+        while len(out) < k:
+            s, t = rnd.randrange(size), rnd.randrange(size)
+            if s != t and (not downward or pos[s] > pos[t]):
+                out.append((s, t))
+        return out
+
+    graph = GrowingGraph(size, *_arrays(random_edges(rnd.randint(1, 6), True)))
+    builds = []
+    for _ in range(12):
+        # a reversed graph edge closes a cycle, so every call reaches the
+        # SCC pass rather than ending at the one-level pre-check
+        src, dst = graph.edges()
+        back = rnd.randrange(len(src))
+        added = random_edges(rnd.randint(0, 4), False)
+        added.append((int(dst[back]), int(src[back])))
+        got = graph.scc_labels_with(*_arrays(added))
+        want = ref.region_scc_labels_after_addition(
+            *graph.edges(), *_arrays(added), size
+        )
+        _assert_same_labelling(got, want)
+        assert len(got[1])
+        assert 2 * graph.n_built >= graph.n_edges
+        builds.append((graph.n_built, graph.n_edges))
+        graph.append(*_arrays(random_edges(rnd.randint(0, 2 * size), True)))
+    # some calls run on hub rows, and the CSR is rebuilt more than once
+    assert len({built for built, _ in builds}) >= 3
+    assert any(built < edges for built, edges in builds)
+
+
+@pytest.mark.parametrize("mode", ["sequential", "hybrid"])
+@pytest.mark.parametrize(
+    "build", [lambda: token_ring(4, 3), lambda: token_ring(5, 5), lambda: matching(6)],
+    ids=["tr-4-3", "tr-5-5", "matching-6"],
+)
+def test_single_candidate_calls_match_region_search(monkeypatch, mode, build):
+    # every Identify_Resolve_Cycles call of a sequential/hybrid run — most of
+    # them single-candidate — is checked against the region search on the
+    # same edges
+    calls = []
+    checked = GrowingGraph.scc_labels_with
+
+    def both(self, add_src, add_dst):
+        got = checked(self, add_src, add_dst)
+        want = ref.region_scc_labels_after_addition(
+            *self.edges(), add_src, add_dst, self.size
+        )
+        _assert_same_labelling(got, want)
+        calls.append(len(add_src))
+        return got
+
+    batch_sizes = []
+    # ``repro.core`` re-exports a function of the module's name
+    module = importlib.import_module("repro.core.add_convergence")
+    irc = module.identify_resolve_cycles
+
+    def counted(state, candidates):
+        batch_sizes.append(len(candidates))
+        return irc(state, candidates)
+
+    monkeypatch.setattr(GrowingGraph, "scc_labels_with", both)
+    monkeypatch.setattr(module, "identify_resolve_cycles", counted)
+    protocol, invariant = build()
+    result = add_strong_convergence(
+        protocol, invariant, options=HeuristicOptions(cycle_resolution_mode=mode)
+    )
+    assert batch_sizes.count(1) > 0
+    assert len(calls) == len(batch_sizes)
+    assert check_solution(protocol, result.protocol, invariant).converges == (
+        result.success
+    )
 
 
 def _assert_ranks_agree(protocol, invariant):

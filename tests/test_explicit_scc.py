@@ -1,6 +1,6 @@
 """SCC detection tests: scipy-backed detector vs. the reference Tarjan vs.
-networkx, plus the region-restricted fast path used by
-Identify_Resolve_Cycles."""
+networkx, plus the acyclic-base path (``cyclic_sccs_after_addition``) used
+by Identify_Resolve_Cycles."""
 
 import random
 
