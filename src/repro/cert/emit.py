@@ -29,7 +29,7 @@ from itertools import product
 
 import numpy as np
 
-from ..explicit.graph import TransitionView, bfs_layers
+from ..explicit.graph import TensorPreImage, TransitionView
 from ..parallel.cache import protocol_fingerprint
 from ..protocol.predicate import Predicate
 from ..protocol.protocol import Protocol
@@ -109,14 +109,11 @@ def shortest_path_ranks(pss: Protocol, invariant: Predicate) -> np.ndarray:
     Raises :class:`CertificateEmissionError` when some state cannot reach
     ``I`` at all — then ``pss`` is not even weakly converging.
     """
-    src, dst = TransitionView.of_protocol(pss).edge_arrays()
-    rank = np.full(pss.space.size, -1, dtype=np.int32)
-    rank[invariant.mask] = 0
-    reached = invariant.mask.copy()
-    for level, layer in enumerate(bfs_layers(dst, src, reached), start=1):
-        rank[layer] = level
-    if not reached.all():
-        s = int(np.flatnonzero(~reached)[0])
+    rank = TensorPreImage(pss.space, pss.tables, pss.groups).distances(
+        invariant.mask
+    )
+    if (rank < 0).any():
+        s = int(np.flatnonzero(rank < 0)[0])
         raise CertificateEmissionError(
             f"state {pss.space.format_state(s)} cannot reach I under pss; "
             f"not weakly converging"

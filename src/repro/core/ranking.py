@@ -4,7 +4,9 @@ Builds the intermediate protocol ``p_im`` (the input protocol plus *every*
 transition group all of whose sources lie outside ``I``) and computes, by
 backward BFS from ``I`` over ``p_im``, the rank of every state: the length of
 the shortest computation prefix reaching ``I``.  Rank ∞ (stored as ``-1``)
-means no stabilizing version exists at all (Theorem IV.1).
+means no stabilizing version exists at all (Theorem IV.1).  The BFS takes
+pre-images on the mixed-radix state tensor and never lists ``p_im``'s
+transitions.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..explicit.graph import TensorPreImage
 from ..metrics.stats import SynthesisStats
 from ..protocol.groups import ProcessGroupTable
 from ..protocol.predicate import Predicate
@@ -29,20 +32,11 @@ def rvals_intersecting(table: ProcessGroupTable, mask: np.ndarray) -> np.ndarray
     Used both for the ``p_im`` construction ("groups whose sources never
     intersect I") and for constraint C1 ("groups with a groupmate starting in
     I are ruled out") — the two are the same test because a group's source
-    set is exactly the rcode's cylinder.
+    set is exactly the rcode's cylinder: one ``any`` over the unread axes of
+    the state tensor.
     """
-    out = np.empty(table.n_rvals, dtype=bool)
-    offsets = table.unread_offsets
-    bases = table.bases
-    # Vectorised over the unread axis: one 2-D gather covers a whole block of
-    # rcodes at once.  The cylinders partition the space, so the full grid is
-    # exactly |Sp| gathers — chunked to bound the temporary at ~32 MB.
-    chunk = max(1, (1 << 22) // max(1, len(offsets)))
-    for start in range(0, table.n_rvals, chunk):
-        stop = min(start + chunk, table.n_rvals)
-        grid = bases[start:stop, None] + offsets[None, :]
-        out[start:stop] = mask[grid].any(axis=1)
-    return out
+    tensor = mask.reshape(table.space.tensor_shape)
+    return table.tensor_rcodes(tensor.any(axis=table.unread_axes))
 
 
 def compute_pim_groups(
@@ -124,10 +118,10 @@ def compute_ranks(
 ) -> RankingResult:
     """Backward-BFS ranking of all states over ``p_im`` (paper Fig. 2).
 
-    Level-synchronised: iteration ``i`` discovers exactly ``Rank[i]``.  Each
-    level scans every ``p_im`` group once with pure array operations —
-    sources of a group are ``base + unread_offsets`` and its targets are a
-    constant stride away, so no per-state Python work happens.
+    Level-synchronised: iteration ``i`` discovers exactly ``Rank[i]`` as the
+    :class:`~repro.explicit.graph.TensorPreImage` of ``Rank[i - 1]`` minus
+    the states already ranked.  Each image is one broadcast AND and OR per
+    ``(process, wcode)`` term over the state tensor; no edge list is built.
     """
     stats = stats if stats is not None else SynthesisStats()
     with stats.timer("ranking"):
@@ -135,54 +129,16 @@ def compute_ranks(
             pim_list = compute_pim_groups(protocol, invariant)
         else:
             pim_list = [set(g) for g in pim_groups]
-
         space = protocol.space
-        rank = np.full(space.size, INF_RANK, dtype=np.int32)
-        rank[invariant.mask] = 0
-        frontier = invariant.mask.copy()
-
-        # Materialise the (src, dst) endpoint arrays of every p_im group ONCE,
-        # outside the level loop (they were previously regenerated from
-        # bases/offsets/deltas at every BFS level).  Each level is then two
-        # fused gathers over the flat edge list — no per-group Python loop.
-        srcs: list[np.ndarray] = []
-        dsts: list[np.ndarray] = []
-        for j, gs in enumerate(pim_list):
-            table = protocol.tables[j]
-            by_rcode: dict[int, list[int]] = {}
-            for rcode, wcode in gs:
-                by_rcode.setdefault(rcode, []).append(wcode)
-            for rcode, wcodes in sorted(by_rcode.items()):
-                src = table.bases[rcode] + table.unread_offsets
-                for wcode in sorted(wcodes):
-                    srcs.append(src)
-                    dsts.append(src + table.deltas[rcode, wcode])
-        if srcs:
-            edge_src = np.concatenate(srcs)
-            edge_dst = np.concatenate(dsts)
-        else:
-            edge_src = np.empty(0, dtype=rank.dtype)
-            edge_dst = np.empty(0, dtype=rank.dtype)
-        del srcs, dsts
-
-        level = 0
+        pre = TensorPreImage(space, protocol.tables, pim_list)
         with stats.tracer.span("rank.backward_bfs") as span:
-            while True:
-                level += 1
-                hit = edge_src[
-                    (rank[edge_src] == INF_RANK) & frontier[edge_dst]
-                ]
-                if not len(hit):
-                    break
-                new_mask = np.zeros(space.size, dtype=bool)
-                new_mask[hit] = True
-                rank[new_mask] = level
-                frontier = new_mask
-            max_rank = level - 1
+            rank = pre.distances(invariant.mask)
+            max_rank = int(rank.max(initial=0))
             span["max_rank"] = max_rank
             span["states"] = int(space.size)
             n_infinite = int((rank == INF_RANK).sum())
             span["infinite"] = n_infinite
+            span["image_terms"] = pre.n_terms
         stats.bump("rank_levels", max_rank)
         stats.bump("rank_states_explored", int(space.size) - n_infinite)
     return RankingResult(

@@ -1,10 +1,15 @@
-"""Flat edge arrays and reachability for the explicit engine.
+"""Flat edge arrays, tensor pre-images and reachability for the explicit engine.
 
 Synthesis manipulates *collections of groups* rather than raw edge lists;
 a :class:`TransitionView` names such a collection and materialises it
 once as one flat ``(src, dst)`` pair of arrays.  Every traversal then
 runs on those flat arrays: a breadth-first search costs one gather per
 BFS level (:func:`bfs_layers`), however many groups the view holds.
+
+Ranking needs no edge list at all: :class:`TensorPreImage` takes the
+pre-image of a state set under a collection of groups as broadcast
+operations over the mixed-radix state tensor, since every group is a
+cylinder over its process's unreadable variables.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 
 from ..protocol.groups import GroupId, ProcessGroupTable
 from ..protocol.protocol import Protocol
-from ..protocol.state_space import STATE_DTYPE
+from ..protocol.state_space import STATE_DTYPE, StateSpace
 
 
 class TransitionView:
@@ -96,6 +101,94 @@ class TransitionView:
             empty = np.empty(0, dtype=STATE_DTYPE)
             return empty, empty, []
         return np.concatenate(srcs), np.concatenate(dsts), [len(s) for s in srcs]
+
+
+class TensorPreImage:
+    """The pre-image operator of a set of groups, on the state tensor.
+
+    A group ``(rcode, wcode)`` of process j moves each state of rcode's
+    cylinder to the same state with j's written variables set to ``wcode``.
+    So ``s`` has a successor in ``F`` under j's groups iff some ``w`` has
+    ``(rcode(s), w)`` among them and ``s[w_j := w] ∈ F``:
+
+        pre(F) = OR over (j, w) of  allowed_j[..., w] & F[w_j := w]
+
+    ``allowed_j[..., w]`` lies on j's read axes (size 1 on the unread ones)
+    and ``F[w_j := w]`` is a slice view of ``F``, so an image costs one
+    broadcast AND and one OR per ``(j, w)`` term that has a group.  Each
+    process works on ``F`` transposed by its ``axis_order``, where the
+    broadcast runs along contiguous cylinders, and ORs its part back once.
+    The arithmetic runs on ``uint8`` views of the masks: numpy's bool loops
+    do not vectorise a broadcast operand (numpy 2.4 on an x86-64 Xeon core:
+    2.5 ms against 0.15 ms for a 3^13-state AND).
+    """
+
+    def __init__(
+        self,
+        space: StateSpace,
+        tables: Sequence[ProcessGroupTable],
+        groups: Sequence[Iterable[tuple[int, int]]],
+    ):
+        self.shape = space.tensor_shape
+        #: per process: its ``axis_order`` and its ``(allowed, index)`` terms
+        self.processes: list[
+            tuple[tuple[int, ...], list[tuple[np.ndarray, tuple[slice, ...]]]]
+        ] = []
+        for table, gs in zip(tables, groups):
+            gs = list(gs)
+            if not gs:
+                continue
+            allowed = np.zeros((table.n_rvals, table.n_wvals), dtype=np.uint8)
+            rcodes, wcodes = zip(*gs)
+            allowed[list(rcodes), list(wcodes)] = 1
+            layout = table.rcode_tensor(allowed)
+            terms = [
+                (layout[..., wcode].copy(), table.write_index(wcode))
+                for wcode in np.flatnonzero(allowed.any(axis=0)).tolist()
+            ]
+            self.processes.append((table.axis_order, terms))
+
+    @property
+    def n_terms(self) -> int:
+        """Number of ``(process, wcode)`` terms an image evaluates."""
+        return sum(len(terms) for _order, terms in self.processes)
+
+    def __call__(self, target: np.ndarray) -> np.ndarray:
+        """Mask of the states with a successor in the ``target`` mask."""
+        f = target.view(np.uint8).reshape(self.shape)
+        out = np.zeros(self.shape, dtype=np.uint8)
+        size = out.size
+        term_buf = np.empty(size, dtype=np.uint8)
+        part_buf = np.empty(size, dtype=np.uint8)
+        for order, terms in self.processes:
+            fj = f.transpose(order).copy()
+            term = term_buf.reshape(fj.shape)
+            part = part_buf.reshape(fj.shape)
+            part.fill(0)
+            for allowed, index in terms:
+                np.bitwise_and(allowed, fj[index], out=term)
+                np.bitwise_or(part, term, out=part)
+            back = out.transpose(order)
+            np.bitwise_or(back, part, out=back)
+        return out.reshape(-1).view(bool)
+
+    def distances(self, target: np.ndarray) -> np.ndarray:
+        """Shortest distance from every state to the ``target`` mask
+        (``-1`` where none), by level-synchronous backward BFS: level
+        ``k`` is ``pre(level k - 1)`` minus the states already reached."""
+        rank = np.full(target.shape, -1, dtype=np.int32)
+        rank[target] = 0
+        reached = target.copy()
+        layer = target
+        level = 0
+        while True:
+            layer = self(layer)
+            layer &= ~reached
+            if not layer.any():
+                return rank
+            level += 1
+            rank[layer] = level
+            reached |= layer
 
 
 def bfs_layers(

@@ -124,6 +124,21 @@ class ProcessGroupTable:
         self.deltas = wnew[None, :] - wcur[:, None]
         self.self_wcode = self_wcode
 
+        # State-tensor axes (see StateSpace.tensor_shape), domain-1 variables
+        # left out: ``read_axes`` in read_vars order, ``unread_axes``
+        # ascending, and ``axis_order``, the read axes (ascending) followed
+        # by the unread ones.  Transposed by ``axis_order``, a state tensor
+        # holds each rcode's cylinder as one contiguous innermost block.
+        axis = space.tensor_axis
+        self._read_digits = [
+            pos for pos, v in enumerate(self.read_vars) if axis[v] is not None
+        ]
+        self.read_axes = tuple(axis[self.read_vars[p]] for p in self._read_digits)
+        self.unread_axes = tuple(
+            axis[v] for v in self.unread_vars if axis[v] is not None
+        )
+        self.axis_order = tuple(sorted(self.read_axes)) + self.unread_axes
+
     @property
     def bases(self) -> np.ndarray:
         """``bases[rcode]`` — state-index contribution of the readable valuation."""
@@ -224,6 +239,48 @@ class ProcessGroupTable:
         w = np.asarray(wcodes, dtype=STATE_DTYPE)
         src = self.bases[r][:, None] + self.unread_offsets[None, :]
         return src, src + self.deltas[r, w][:, None]
+
+    # ------------------------------------------------------------------
+    # the state tensor: rcode-indexed arrays on the read axes
+    # ------------------------------------------------------------------
+    def rcode_tensor(self, values: np.ndarray) -> np.ndarray:
+        """``values[rcode, ...]`` on the read axes of the state tensor
+        transposed by :attr:`axis_order`.
+
+        The read axes come in ascending axis order and every unread axis has
+        size 1, so the result broadcasts along the cylinders; trailing
+        dimensions of ``values`` are kept.
+        """
+        tail = values.shape[1:]
+        digits = tuple(self.r_radices[p] for p in self._read_digits)
+        order = tuple(int(k) for k in np.argsort(self.read_axes))
+        out = values.reshape(digits + tail).transpose(
+            order + tuple(range(len(digits), len(digits) + len(tail)))
+        )
+        return out.reshape(
+            out.shape[: len(digits)] + (1,) * len(self.unread_axes) + tail
+        )
+
+    def tensor_rcodes(self, tensor: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`rcode_tensor` for a tensor over the read axes
+        alone (in ascending axis order): the vector indexed by rcode."""
+        return tensor.transpose(np.argsort(np.argsort(self.read_axes))).reshape(
+            self.n_rvals
+        )
+
+    def write_index(self, wcode: int) -> tuple[slice, ...]:
+        """Index fixing the written variables at ``wcode``, on the state
+        tensor transposed by :attr:`axis_order`.
+
+        It selects a view with size 1 on the write axes: ``F[s with
+        w_j := wcode]``, broadcast back over ``s``.
+        """
+        index = [slice(None)] * len(self.axis_order)
+        for v, x in zip(self.write_vars, self.values_of_wcode(wcode)):
+            a = self.space.tensor_axis[v]
+            if a is not None:
+                index[self.axis_order.index(a)] = slice(x, x + 1)
+        return tuple(index)
 
     def is_self_loop(self, rcode: int, wcode: int) -> bool:
         return int(self.self_wcode[rcode]) == wcode

@@ -55,6 +55,15 @@ class StateSpace:
                 )
             strides[i] = stride
         self.strides = strides
+        # The state tensor: a flat state mask reshaped to ``tensor_shape``
+        # has one axis per variable of domain > 1, in variable order (a
+        # domain-1 variable contributes no digit).  ``tensor_axis[v]`` is
+        # variable v's axis, ``None`` for a domain-1 variable.
+        kept = [i for i, v in enumerate(variables) if v.domain_size > 1]
+        self.tensor_shape = tuple(variables[i].domain_size for i in kept)
+        self.tensor_axis: tuple[int | None, ...] = tuple(
+            kept.index(i) if i in kept else None for i in range(len(variables))
+        )
         self._index_of_name = {v.name: i for i, v in enumerate(variables)}
         self._var_array_cache: dict[int, np.ndarray] = {}
 

@@ -10,7 +10,13 @@ engine computes on flat edge arrays:
   ``base ∪ added`` for an acyclic ``base``, found by a forward/backward BFS
   region search around the added edges and one SCC pass on that region;
 * :func:`longest_path_ranks` — the ``rank(s) = 1 + max rank(successors)``
-  fixpoint iterated with an ``np.maximum.at`` scatter.
+  fixpoint iterated with an ``np.maximum.at`` scatter;
+* :func:`edge_bfs_distances` — backward BFS distance to a target set over
+  the materialised ``(src, dst)`` edges of a collection of groups, the
+  reference for the tensor pre-images of ``compute_ranks`` and
+  ``shortest_path_ranks``;
+* :func:`rvals_intersecting` — the per-rcode cylinder test as a gather of
+  every cylinder's source states.
 """
 
 from __future__ import annotations
@@ -218,3 +224,42 @@ def longest_path_ranks(pss, invariant) -> np.ndarray:
     if (~inside & (rank == 0)).any():
         raise CertificateEmissionError("pss deadlocks outside I")
     return rank.astype(np.int32)
+
+
+def edge_bfs_distances(
+    tables: Sequence, groups: Sequence, target: np.ndarray
+) -> np.ndarray:
+    """Backward BFS distance to the ``target`` mask over the edges of
+    ``groups`` (one set of ``(rcode, wcode)`` per process); ``-1`` where the
+    target is unreachable.
+
+    Materialises every group's ``(src, dst)`` endpoints once, then runs one
+    fused gather over the flat edge list per BFS level.
+    """
+    srcs: list[np.ndarray] = []
+    dsts: list[np.ndarray] = []
+    for table, gs in zip(tables, groups):
+        for rcode, wcode in sorted(gs):
+            src = table.bases[rcode] + table.unread_offsets
+            srcs.append(src)
+            dsts.append(src + table.deltas[rcode, wcode])
+    edge_src = np.concatenate(srcs) if srcs else np.empty(0, dtype=np.int64)
+    edge_dst = np.concatenate(dsts) if dsts else np.empty(0, dtype=np.int64)
+    rank = np.full(len(target), -1, dtype=np.int32)
+    rank[target] = 0
+    frontier = target.copy()
+    level = 0
+    while True:
+        level += 1
+        hit = edge_src[(rank[edge_src] == -1) & frontier[edge_dst]]
+        if not len(hit):
+            return rank
+        frontier = np.zeros(len(target), dtype=bool)
+        frontier[hit] = True
+        rank[frontier] = level
+
+
+def rvals_intersecting(table, mask: np.ndarray) -> np.ndarray:
+    """``out[rcode]``: does a source state of rcode's cylinder satisfy ``mask``?"""
+    grid = table.bases[:, None] + table.unread_offsets[None, :]
+    return mask[grid].any(axis=1)

@@ -11,22 +11,38 @@ implementations in ``reference_graph.py``.
   ``sequential`` and ``hybrid`` modes;
 * Kahn-peel ``longest_path_ranks`` vs. the ``np.maximum.at`` fixpoint: equal
   ranks, and a :class:`CertificateEmissionError` from both on exactly the
-  inputs that do not strongly converge.
+  inputs that do not strongly converge;
+* the tensor pre-images of ``compute_ranks`` and ``shortest_path_ranks`` vs.
+  the edge-list BFS, and ``rvals_intersecting`` vs. the cylinder gather: on
+  the four ``paper-explicit`` cases, seeded fuzz instances, random
+  protocols and hand-built ones with unsorted read and write lists, a
+  domain-1 variable, an empty ``p_im`` set and rank-∞ states.
 """
 
 import importlib
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import reference_graph as ref
-from repro.cert import CertificateEmissionError, longest_path_ranks
+from repro.cert import (
+    CertificateEmissionError,
+    longest_path_ranks,
+    shortest_path_ranks,
+)
 from repro.core import HeuristicOptions, add_strong_convergence
 from repro.core.exceptions import SynthesisError
-from repro.explicit.graph import TransitionView, backward_reachable, forward_reachable
+from repro.core.ranking import INF_RANK, compute_ranks, rvals_intersecting
+from repro.explicit.graph import (
+    TensorPreImage,
+    TransitionView,
+    backward_reachable,
+    forward_reachable,
+)
 from repro.explicit.scc import (
     GrowingGraph,
     cyclic_sccs,
@@ -35,7 +51,25 @@ from repro.explicit.scc import (
     scc_labels_after_addition,
     scc_members,
 )
-from repro.protocols import matching, token_ring
+from repro.fuzz.generate import generate_instance, iteration_seeds
+from repro.protocol.groups import ProcessGroupTable
+from repro.protocol.predicate import Predicate
+from repro.protocol.protocol import Protocol
+from repro.protocol.state_space import StateSpace
+from repro.protocol.topology import ProcessSpec, Topology
+from repro.protocol.variables import Variable
+from repro.protocols import (
+    coloring,
+    dijkstra_stabilizing_token_ring,
+    gouda_acharya_matching,
+    graph_coloring,
+    line_coloring,
+    matching,
+    max_propagation,
+    token_ring,
+    tree_coloring,
+    two_ring,
+)
 from repro.verify import check_solution
 
 from conftest import make_closed_invariant, make_random_protocol
@@ -343,3 +377,201 @@ def test_kahn_ranks_match_fixpoint_on_case_studies(build):
     result = add_strong_convergence(protocol, invariant)
     assert result.success
     assert _assert_ranks_agree(result.protocol, invariant)
+
+
+# ----------------------------------------------------------------------
+# tensor pre-images (compute_ranks, shortest_path_ranks,
+# rvals_intersecting) vs. the edge-list BFS
+# ----------------------------------------------------------------------
+def _assert_ranks_match_edge_bfs(protocol, invariant):
+    """Tensor ranks of ``p_im`` and the weak witness of ``δp`` and of
+    ``p_im``, each bit-identical to the edge BFS; returns the ranking."""
+    ranking = compute_ranks(protocol, invariant)
+    want = ref.edge_bfs_distances(
+        protocol.tables, ranking.pim_groups, invariant.mask
+    )
+    assert ranking.rank.dtype == want.dtype
+    assert np.array_equal(ranking.rank, want)
+    assert ranking.max_rank == int(want.max(initial=0))
+    for pss, bfs in (
+        (ranking.pim_protocol(), want),
+        (
+            protocol,
+            ref.edge_bfs_distances(protocol.tables, protocol.groups, invariant.mask),
+        ),
+    ):
+        if (bfs < 0).any():
+            with pytest.raises(CertificateEmissionError):
+                shortest_path_ranks(pss, invariant)
+        else:
+            got = shortest_path_ranks(pss, invariant)
+            assert got.dtype == bfs.dtype
+            assert np.array_equal(got, bfs)
+    for table in protocol.tables:
+        assert np.array_equal(
+            rvals_intersecting(table, invariant.mask),
+            ref.rvals_intersecting(table, invariant.mask),
+        )
+    return ranking
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: token_ring(6, 5),
+        lambda: coloring(13),
+        lambda: matching(11),
+        two_ring,
+    ],
+    ids=["token-ring-6-5", "coloring-13", "matching-11", "two-ring"],
+)
+def test_tensor_ranks_match_edge_bfs_on_paper_cases(build):
+    protocol, invariant = build()
+    ranking = _assert_ranks_match_edge_bfs(protocol, invariant)
+    assert ranking.admits_stabilization()
+
+
+@pytest.mark.parametrize("seed", iteration_seeds(21, 16))
+def test_tensor_ranks_match_edge_bfs_on_fuzz_instances(seed):
+    instance = generate_instance(seed)
+    _assert_ranks_match_edge_bfs(instance.protocol, instance.invariant)
+
+
+@given(seeds, st.booleans())
+@relaxed
+def test_tensor_image_matches_edge_predecessors(seed, closed):
+    rng = random.Random(seed)
+    protocol = make_random_protocol(rng, group_density=rng.choice([0.05, 0.3]))
+    size = protocol.space.size
+    target = np.array([rng.random() < 0.3 for _ in range(size)])
+    src, dst = TransitionView.of_protocol(protocol).edge_arrays()
+    want = np.zeros(size, dtype=bool)
+    want[src[target[dst]]] = True
+    pre = TensorPreImage(protocol.space, protocol.tables, protocol.groups)
+    assert np.array_equal(pre(target), want)
+    invariant = (
+        make_closed_invariant(rng, protocol)
+        if closed
+        else Predicate(protocol.space, target)
+    )
+    _assert_ranks_match_edge_bfs(protocol, invariant)
+
+
+def _protocol(space, specs, groups, invariant_mask):
+    """A protocol over ``specs`` exactly as given (read and write tuples in
+    the given order, which a plain ``ProcessSpec`` would sort)."""
+    sorted_specs = [ProcessSpec(s.name, s.reads, s.writes) for s in specs]
+    tables = [ProcessGroupTable(space, j, s) for j, s in enumerate(specs)]
+    protocol = Protocol(
+        space, Topology(tuple(sorted_specs)), groups, tables=tables
+    )
+    return protocol, Predicate(space, invariant_mask)
+
+
+def _unsorted_spec(name, reads, writes):
+    spec = ProcessSpec(name, reads, writes)
+    object.__setattr__(spec, "reads", tuple(reads))
+    object.__setattr__(spec, "writes", tuple(writes))
+    return spec
+
+
+def _random_groups(rng, tables, density):
+    return [
+        {g for g in table.iter_candidate_groups() if rng.random() < density}
+        for table in tables
+    ]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_tensor_ranks_with_unsorted_read_and_write_lists(seed):
+    rng = random.Random(seed)
+    space = StateSpace([Variable("x", 2), Variable("y", 3), Variable("z", 4)])
+    specs = [
+        _unsorted_spec("P0", (2, 0), (0,)),
+        _unsorted_spec("P1", (1, 2, 0), (2, 1)),
+        _unsorted_spec("P2", (2, 1), (1,)),
+    ]
+    tables = [ProcessGroupTable(space, j, s) for j, s in enumerate(specs)]
+    assert tables[1].read_vars == (1, 2, 0)
+    # rcode digits follow the given read order
+    rcode = tables[1].rcode_of_state(space.encode([1, 2, 3]))
+    assert tables[1].values_of_rcode(rcode) == (2, 3, 1)
+    groups = _random_groups(rng, tables, rng.choice([0.05, 0.2]))
+    mask = np.array([rng.random() < 0.2 for _ in range(space.size)])
+    mask[rng.randrange(space.size)] = True
+    protocol, invariant = _protocol(space, specs, groups, mask)
+    _assert_ranks_match_edge_bfs(protocol, invariant)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_tensor_ranks_on_domain_one_and_infinite_rank_states(seed):
+    # z has one value; P0 writes two variables and reads z; P2 writes only
+    # z, so it has no candidate group; P3 reads only a, whose every value
+    # meets I, so its p_im set is empty; nothing writes d, so the states
+    # with d = 1 never reach I (rank ∞)
+    rng = random.Random(seed)
+    space = StateSpace(
+        [
+            Variable("a", 3),
+            Variable("z", 1),
+            Variable("b", 2),
+            Variable("c", 3),
+            Variable("d", 2),
+        ]
+    )
+    assert space.tensor_shape == (3, 2, 3, 2)
+    specs = [
+        ProcessSpec("P0", (0, 1, 2), (0, 2)),
+        ProcessSpec("P1", (2, 3), (3,)),
+        ProcessSpec("P2", (1, 4), (1,)),
+        ProcessSpec("P3", (0,), (0,)),
+    ]
+    tables = [ProcessGroupTable(space, j, s) for j, s in enumerate(specs)]
+    groups = _random_groups(rng, tables[:2], rng.choice([0.1, 0.4]))
+    groups += [set(), set()]
+    values = {v.name: space.var_array(i) for i, v in enumerate(space.variables)}
+    mask = (values["d"] == 0) & (values["b"] == values["c"] % 2)
+    protocol, invariant = _protocol(space, specs, groups, mask)
+    ranking = _assert_ranks_match_edge_bfs(protocol, invariant)
+    assert tables[2].n_candidate_groups == 0
+    assert ranking.pim_groups[2] == set() and ranking.pim_groups[3] == set()
+    assert (ranking.rank[values["d"] == 1] == INF_RANK).all()
+    assert ranking.max_rank >= 1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: token_ring(4, 3),
+        lambda: dijkstra_stabilizing_token_ring(4, 3),
+        lambda: matching(6),
+        lambda: gouda_acharya_matching(5),
+        lambda: coloring(6),
+        lambda: line_coloring(5),
+        lambda: tree_coloring(2, 2),
+        lambda: graph_coloring(nx.petersen_graph()),
+        lambda: max_propagation(nx.path_graph(4)),
+        lambda: two_ring(),
+    ],
+    ids=[
+        "token-ring",
+        "dijkstra-token-ring",
+        "matching",
+        "gouda-acharya",
+        "coloring",
+        "line-coloring",
+        "tree-coloring",
+        "petersen-coloring",
+        "max-propagation",
+        "two-ring",
+    ],
+)
+def test_rvals_intersecting_matches_gather_on_builtin_protocols(build):
+    protocol, invariant = build()
+    rng = np.random.default_rng(5)
+    masks = [invariant.mask, ~invariant.mask, rng.random(protocol.space.size) < 0.01]
+    for table in protocol.tables:
+        for mask in masks:
+            assert np.array_equal(
+                rvals_intersecting(table, mask), ref.rvals_intersecting(table, mask)
+            )

@@ -13,7 +13,9 @@ from repro.core.ranking import (
     compute_ranks,
     rvals_intersecting,
 )
+from repro.metrics import SynthesisStats
 from repro.protocols import matching, token_ring
+from repro.trace import Tracer
 
 from conftest import make_closed_invariant, make_random_protocol
 
@@ -80,6 +82,27 @@ class TestRanksTokenRing:
         ranking = compute_ranks(protocol, invariant)
         hist = ranking.rank_histogram()
         assert sum(hist.values()) == protocol.space.size
+
+    def test_backward_bfs_span_records_image_terms(self, tr):
+        protocol, invariant = tr
+        tracer = Tracer()
+        ranking = compute_ranks(
+            protocol, invariant, stats=SynthesisStats.traced(tracer)
+        )
+        (span,) = [
+            r["attrs"]
+            for r in tracer.records
+            if r["type"] == "span" and r["name"] == "rank.backward_bfs"
+        ]
+        # one term per (process, wcode) that has a p_im group
+        terms = sum(len({w for _r, w in gs}) for gs in ranking.pim_groups)
+        assert span == {
+            "max_rank": 2,
+            "states": protocol.space.size,
+            "infinite": 0,
+            "image_terms": terms,
+        }
+        assert 0 < terms <= sum(t.n_wvals for t in protocol.tables)
 
     def test_pim_protocol_roundtrip(self, tr):
         protocol, invariant = tr
