@@ -1,14 +1,14 @@
-"""Symbolic substrate scaling: partitioned vs. monolithic relations.
+"""Symbolic substrate scaling: the partitioned engine at growing sizes.
 
 Pins the fast-substrate claims of ``benchmarks/SUBSTRATE_SCALING.md`` to
 measured numbers:
 
-* ``ComputeRanks`` with clustered frameless partitions vs. the monolithic
-  union relation (relation build + backward BFS), on the two ring case
-  studies;
-* full synthesis under both representations, with the BDD manager's
-  always-on counters (``ite_calls``, ``peak_live_nodes``, ``gc_*``) as
-  evidence;
+* ``ComputeRanks`` over clustered frameless partitions (relation build +
+  backward BFS) on the two ring case studies, checked against the
+  explicit engine's rank sizes and p_im groups;
+* full synthesis, checked against the explicit engine's groups, with the
+  BDD manager's always-on counters (``ite_calls``, ``peak_live_nodes``,
+  ``gc_*``) as evidence;
 * the pass-boundary GC ablation: peak live nodes with GC vs. with
   ``collect_garbage`` stubbed out.
 
@@ -29,6 +29,7 @@ import time
 
 import pytest
 
+from repro.core import add_strong_convergence
 from repro.core.ranking import compute_ranks
 from repro.explicit.graph import TransitionView
 from repro.explicit.scc import cyclic_sccs
@@ -44,8 +45,8 @@ from repro.symbolic import (
 from repro.symbolic.engine import SymbolicSynthesisState
 from repro.trace.tracer import NullTracer, Tracer, record_bdd_counters
 
-FIGURE_RANKS = "Substrate: ComputeRanks — partitioned vs. monolithic"
-FIGURE_SYNTH = "Substrate: full synthesis — partitioned vs. monolithic"
+FIGURE_RANKS = "Substrate: ComputeRanks — clustered partitions"
+FIGURE_SYNTH = "Substrate: full synthesis — clustered partitions"
 FIGURE_GC = "Substrate: pass-boundary GC — peak live nodes"
 FIGURE_KERNEL = "Substrate: kernel gauge — ComputeRanks and SCC decomposition"
 
@@ -64,37 +65,60 @@ def _git_commit() -> str:
         return "unknown"
 
 
-def _setup(name: str, k: int, mode: str):
+def _setup(name: str, k: int):
     if name == "coloring":
-        _protocol, sp, inv = coloring_symbolic(k, relation_mode=mode)
-        return sp, inv
+        return coloring_symbolic(k)
     protocol, invariant = matching(k)
-    sp = SymbolicProtocol(protocol, relation_mode=mode)
-    return sp, sp.sym.from_predicate(invariant)
+    sp = SymbolicProtocol(protocol)
+    return protocol, sp, sp.sym.from_predicate(invariant)
 
 
-def _ranks_timed(name: str, k: int, mode: str, tracer):
-    sp, inv = _setup(name, k, mode)
+def _ranks_timed(name: str, k: int, tracer):
+    _protocol, sp, inv = _setup(name, k)
     t0 = time.perf_counter()
     ranking = compute_ranks_symbolic(sp, inv, tracer=tracer)
     elapsed = time.perf_counter() - t0
-    record_bdd_counters(tracer, sp.sym.bdd, prefix=f"substrate.{name}_k{k}.{mode}")
-    tracer.counter_set(f"substrate.ranks_ms.{name}_k{k}.{mode}", int(elapsed * 1e3))
+    record_bdd_counters(tracer, sp.sym.bdd, prefix=f"substrate.{name}_k{k}")
+    tracer.counter_set(f"substrate.ranks_ms.{name}_k{k}", int(elapsed * 1e3))
     return elapsed, ranking, sp
 
 
-def _synth_timed(name: str, k: int, mode: str, tracer):
-    sp, inv = _setup(name, k, mode)
+def _synth_timed(name: str, k: int, tracer):
+    protocol, sp, inv = _setup(name, k)
     stats = SynthesisStats(tracer=tracer)
     t0 = time.perf_counter()
-    result = add_strong_convergence_symbolic(
-        sp.protocol, inv, sp=sp, stats=stats
-    )
+    result = add_strong_convergence_symbolic(protocol, inv, sp=sp, stats=stats)
     elapsed = time.perf_counter() - t0
     counters = sp.sym.bdd.counters()
-    record_bdd_counters(tracer, sp.sym.bdd, prefix=f"substrate.{name}_k{k}.{mode}")
-    tracer.counter_set(f"substrate.synth_ms.{name}_k{k}.{mode}", int(elapsed * 1e3))
+    record_bdd_counters(tracer, sp.sym.bdd, prefix=f"substrate.{name}_k{k}")
+    tracer.counter_set(f"substrate.synth_ms.{name}_k{k}", int(elapsed * 1e3))
     return elapsed, result, counters
+
+
+def _explicit_ranks(name: str, k: int):
+    """``(rank sizes, p_im groups)`` from the explicit engine."""
+    protocol, invariant = (coloring if name == "coloring" else matching)(k)
+    ranking = compute_ranks(protocol, invariant)
+    histogram = ranking.rank_histogram()
+    sizes = [histogram.get(i, 0) for i in range(ranking.max_rank + 1)]
+    return sizes, ranking.pim_groups
+
+
+def _explicit_synthesis(name: str, k: int):
+    protocol, invariant = (coloring if name == "coloring" else matching)(k)
+    return add_strong_convergence(protocol, invariant)
+
+
+def _check_ranks(name: str, k: int, ranking) -> None:
+    sizes, pim_groups = _explicit_ranks(name, k)
+    assert ranking.rank_sizes() == sizes
+    assert ranking.pim_groups == pim_groups
+
+
+def _check_synthesis(name: str, k: int, result) -> None:
+    explicit = _explicit_synthesis(name, k)
+    assert result.success and explicit.success
+    assert result.pss_groups == explicit.protocol.groups
 
 
 # ----------------------------------------------------------------------
@@ -102,47 +126,40 @@ def _synth_timed(name: str, k: int, mode: str, tracer):
 # ----------------------------------------------------------------------
 
 
+RANKS_COLUMNS = ["case", "ComputeRanks (s)", "partitions"]
+SYNTH_COLUMNS = ["case", "synthesis (s)", "peak live nodes", "ITE calls"]
+
+
 @pytest.mark.parametrize("name,k", [("coloring", 5), ("matching", 5)])
-def test_smoke_ranks_partitioned_matches_monolithic(name, k, figure_report):
+def test_smoke_ranks_partitioned(name, k, figure_report):
     figure_report.register(
         FIGURE_RANKS,
-        columns=["case", "mono (s)", "partitioned (s)", "speedup", "partitions"],
+        columns=RANKS_COLUMNS,
         note="ComputeRanks = p_im relation build + backward BFS",
     )
     with Tracer(TRACE_PATH, benchmark="substrate-smoke") as tracer:
-        t_mono, r_mono, _ = _ranks_timed(name, k, "monolithic", tracer)
-        t_part, r_part, sp = _ranks_timed(name, k, "partitioned", tracer)
+        elapsed, ranking, sp = _ranks_timed(name, k, tracer)
         tracer.flush_counters()
-    # different managers — compare denotations via rank sizes + pim groups
-    assert r_part.pim_groups == r_mono.pim_groups
-    assert r_part.rank_sizes() == r_mono.rank_sizes()
+    _check_ranks(name, k, ranking)
     assert len(sp.clusters) >= 1
     figure_report.add_row(
-        FIGURE_RANKS,
-        [f"{name} k={k} (smoke)", t_mono, t_part, t_mono / t_part, len(sp.clusters)],
+        FIGURE_RANKS, [f"{name} k={k} (smoke)", elapsed, len(sp.clusters)]
     )
 
 
 def test_smoke_synthesis_counters_traced(figure_report):
-    figure_report.register(
-        FIGURE_SYNTH,
-        columns=["case", "mono (s)", "partitioned (s)", "speedup",
-                 "mono peak nodes", "part peak nodes"],
-    )
+    figure_report.register(FIGURE_SYNTH, columns=SYNTH_COLUMNS)
     with Tracer(TRACE_PATH + ".synth", benchmark="substrate-smoke") as tracer:
-        t_mono, res_mono, c_mono = _synth_timed("matching", 5, "monolithic", tracer)
-        t_part, res_part, c_part = _synth_timed("matching", 5, "partitioned", tracer)
+        elapsed, result, counters = _synth_timed("matching", 5, tracer)
         tracer.flush_counters()
-    assert res_mono.success and res_part.success
-    assert res_part.pss_groups == res_mono.pss_groups
-    for counters in (c_mono, c_part):
-        assert counters["gc_runs"] >= 1
-        assert counters["gc_collected"] > 0
-        assert counters["peak_live_nodes"] > 0
+    _check_synthesis("matching", 5, result)
+    assert counters["gc_runs"] >= 1
+    assert counters["gc_collected"] > 0
+    assert counters["peak_live_nodes"] > 0
     figure_report.add_row(
         FIGURE_SYNTH,
-        ["matching k=5 (smoke)", t_mono, t_part, t_mono / t_part,
-         c_mono["peak_live_nodes"], c_part["peak_live_nodes"]],
+        ["matching k=5 (smoke)", elapsed, counters["peak_live_nodes"],
+         counters["ite_calls"]],
     )
 
 
@@ -151,20 +168,12 @@ def test_smoke_synthesis_counters_traced(figure_report):
 # ----------------------------------------------------------------------
 
 
-def _gauge_setup(name: str, k: int):
-    if name == "coloring":
-        return coloring_symbolic(k)
-    protocol, invariant = matching(k)
-    sp = SymbolicProtocol(protocol, relation_mode="partitioned")
-    return protocol, sp, sp.sym.from_predicate(invariant)
-
-
 def _kernel_ranks(name: str, k: int):
     """One cold ComputeRanks on a fresh manager: ``(elapsed, ranking,
     counters)``.  A warm re-run on the same manager is fully memoized
     (sub-millisecond) and would gauge nothing but probe overhead, so the
     cold first-run cost is the honest number."""
-    _protocol, sp, inv = _gauge_setup(name, k)
+    _protocol, sp, inv = _setup(name, k)
     with NullTracer() as tracer:
         t0 = time.perf_counter()
         ranking = compute_ranks_symbolic(sp, inv, tracer=tracer)
@@ -176,23 +185,14 @@ def _kernel_scc(name: str, k: int):
     """One cold Gentilini SCC decomposition of the non-invariant region —
     the SCC-heavy gauge workload.  Returns ``(elapsed, state-count
     multiset of the SCCs, counters)``."""
-    protocol, sp, inv = _gauge_setup(name, k)
+    protocol, sp, inv = _setup(name, k)
     sym = sp.sym
-    relations = sp.process_relations(protocol.groups)
+    relations = sp.clustered_partitions(protocol.groups)
     region = sym.bdd.diff(sym.domain_cur, inv)
     t0 = time.perf_counter()
     sccs = gentilini_sccs(sym, relations, region)
     elapsed = time.perf_counter() - t0
     return elapsed, sorted(sym.count_states(c) for c in sccs), sym.bdd.counters()
-
-
-def _explicit_ranks(name: str, k: int):
-    """``(rank sizes, p_im groups)`` from the explicit engine."""
-    protocol, invariant = (coloring if name == "coloring" else matching)(k)
-    ranking = compute_ranks(protocol, invariant)
-    histogram = ranking.rank_histogram()
-    sizes = [histogram.get(i, 0) for i in range(ranking.max_rank + 1)]
-    return sizes, ranking.pim_groups
 
 
 def _explicit_scc_sizes(name: str, k: int) -> list[int]:
@@ -243,9 +243,7 @@ def test_smoke_kernel_gauge_emits_bench_json(cases, figure_report):
         for _ in range(BEST_OF - 1):
             elapsed = min(elapsed, run(name, k)[0])
         if workload == "ranks":
-            sizes, pim_groups = _explicit_ranks(name, k)
-            assert result.rank_sizes() == sizes
-            assert result.pim_groups == pim_groups
+            _check_ranks(name, k, result)
         else:
             assert result == _explicit_scc_sizes(name, k)
         rows.append({
@@ -279,50 +277,28 @@ def test_smoke_kernel_gauge_emits_bench_json(cases, figure_report):
 
 @pytest.mark.parametrize("name,k", [("coloring", 9), ("matching", 8)])
 def test_ranks_scaling(name, k, figure_report):
-    figure_report.register(
-        FIGURE_RANKS,
-        columns=["case", "mono (s)", "partitioned (s)", "speedup", "partitions"],
-    )
-    # best-of-two per mode: the absolute times here are ~100 ms, where a
-    # single run is at the mercy of scheduler noise on a loaded box
+    figure_report.register(FIGURE_RANKS, columns=RANKS_COLUMNS)
+    # best of two: the absolute times here are ~100 ms, where a single run
+    # is at the mercy of scheduler noise on a loaded box
     with NullTracer() as tracer:
-        t_mono, r_mono, _ = _ranks_timed(name, k, "monolithic", tracer)
-        t_part, r_part, sp = _ranks_timed(name, k, "partitioned", tracer)
-        t_mono = min(t_mono, _ranks_timed(name, k, "monolithic", tracer)[0])
-        t_part = min(t_part, _ranks_timed(name, k, "partitioned", tracer)[0])
-    assert r_part.rank_sizes() == r_mono.rank_sizes()
-    assert t_part < t_mono, "partitioned ComputeRanks must beat monolithic"
+        elapsed, ranking, sp = _ranks_timed(name, k, tracer)
+        elapsed = min(elapsed, _ranks_timed(name, k, tracer)[0])
+    _check_ranks(name, k, ranking)
     figure_report.add_row(
-        FIGURE_RANKS,
-        [f"{name} k={k}", t_mono, t_part, t_mono / t_part, len(sp.clusters)],
+        FIGURE_RANKS, [f"{name} k={k}", elapsed, len(sp.clusters)]
     )
 
 
 @pytest.mark.parametrize("name,k", [("coloring", 9), ("matching", 8)])
 def test_synthesis_scaling(name, k, figure_report):
-    figure_report.register(
-        FIGURE_SYNTH,
-        columns=["case", "mono (s)", "partitioned (s)", "speedup",
-                 "mono peak nodes", "part peak nodes"],
-    )
+    figure_report.register(FIGURE_SYNTH, columns=SYNTH_COLUMNS)
     with NullTracer() as tracer:
-        t_mono, res_mono, c_mono = _synth_timed(name, k, "monolithic", tracer)
-        t_part, res_part, c_part = _synth_timed(name, k, "partitioned", tracer)
-    assert res_mono.success and res_part.success
-    assert res_part.pss_groups == res_mono.pss_groups
-    # On matching the monolithic relation BDD stays tiny, so the
-    # frame-avoidance win shrinks to run-to-run noise (±20-30% on the
-    # SCC-heavy cycle-resolution phase); partitioned must not *lose* by
-    # more than that noise band, and must still win on working-set size.
-    assert t_part < 1.5 * t_mono, (
-        f"partitioned synthesis regressed vs monolithic: {t_part:.2f}s vs "
-        f"{t_mono:.2f}s"
-    )
-    assert c_part["peak_live_nodes"] < c_mono["peak_live_nodes"]
+        elapsed, result, counters = _synth_timed(name, k, tracer)
+    _check_synthesis(name, k, result)
     figure_report.add_row(
         FIGURE_SYNTH,
-        [f"{name} k={k}", t_mono, t_part, t_mono / t_part,
-         c_mono["peak_live_nodes"], c_part["peak_live_nodes"]],
+        [f"{name} k={k}", elapsed, counters["peak_live_nodes"],
+         counters["ite_calls"]],
     )
 
 
@@ -333,17 +309,17 @@ def test_gc_reduces_peak_live_nodes(figure_report, monkeypatch):
         columns=["case", "peak (GC on)", "peak (GC off)", "reduction", "collected"],
     )
     with NullTracer() as tracer:
-        _t, _res, with_gc = _synth_timed("coloring", 9, "partitioned", tracer)
+        _t, _res, with_gc = _synth_timed("coloring", 9, tracer)
         monkeypatch.setattr(
             SymbolicSynthesisState, "collect_garbage", lambda self, extra=(): 0
         )
-        _t, _res, without_gc = _synth_timed("coloring", 9, "partitioned", tracer)
+        _t, _res, without_gc = _synth_timed("coloring", 9, tracer)
     assert with_gc["gc_collected"] > 0
     assert without_gc["gc_collected"] == 0
     assert with_gc["peak_live_nodes"] < without_gc["peak_live_nodes"]
     figure_report.add_row(
         FIGURE_GC,
-        ["coloring k=9 partitioned",
+        ["coloring k=9",
          with_gc["peak_live_nodes"], without_gc["peak_live_nodes"],
          f"{without_gc['peak_live_nodes'] / with_gc['peak_live_nodes']:.2f}x",
          with_gc["gc_collected"]],

@@ -455,7 +455,7 @@ def check_certificate_symbolic(
     _check_expected_pss(groups, expected_pss)
 
     if sp is None:
-        sp = SymbolicProtocol(original, relation_mode="process")
+        sp = SymbolicProtocol(original)
     sym = sp.sym
     bdd = sym.bdd
     inv = sym.from_predicate(invariant)

@@ -115,10 +115,6 @@ def _cmd_synthesize(args) -> int:
     try:
         if args.engine == "symbolic":
             with use_tracer(tracer):
-                cluster_kw = (
-                    {} if args.cluster_size is None
-                    else {"cluster_size": args.cluster_size}
-                )
                 if args.protocol != "coloring":
                     from .symbolic import (
                         SymbolicProtocol,
@@ -127,22 +123,14 @@ def _cmd_synthesize(args) -> int:
 
                     protocol, invariant = _build(args)
                     with _input_errors():
-                        sp = SymbolicProtocol(
-                            protocol,
-                            relation_mode=args.relation_mode,
-                            **cluster_kw,
-                        )
+                        sp = SymbolicProtocol(protocol)
                     inv = sp.sym.from_predicate(invariant)
                 else:
                     from .protocols.coloring import coloring_symbolic
                     from .symbolic import add_strong_convergence_symbolic
 
                     with _input_errors():
-                        protocol, sp, inv = coloring_symbolic(
-                            _default(args.k, 5),
-                            relation_mode=args.relation_mode,
-                            **cluster_kw,
-                        )
+                        protocol, sp, inv = coloring_symbolic(_default(args.k, 5))
                 if args.auto_reorder:
                     sp.sym.bdd.auto_reorder = True
                 res = add_strong_convergence_symbolic(
@@ -628,21 +616,6 @@ def make_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="requeue a crashed/hung config at most N times "
         "(capped exponential backoff); default 2",
-    )
-    p_syn.add_argument(
-        "--relation-mode",
-        choices=["partitioned", "process", "monolithic"],
-        default="partitioned",
-        help="symbolic transition-relation representation "
-        "(see docs/ARCHITECTURE.md; symbolic engine only)",
-    )
-    p_syn.add_argument(
-        "--cluster-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="processes per partition cluster (default 3; "
-        "--relation-mode partitioned only)",
     )
     p_syn.add_argument(
         "--auto-reorder",

@@ -60,9 +60,6 @@ class HeuristicOptions:
     #: cycle-resolution mode: "batch" (default, the paper's literal
     #: semantics), "sequential" or "hybrid" — see SynthesisState
     cycle_resolution_mode: str = "batch"
-    #: symbolic SCC algorithm ("gentilini", "xie_beerel" or "lockstep" —
-    #: see repro.symbolic.scc.SCC_ALGORITHMS); explicit engine ignores it
-    scc_algorithm: str = "gentilini"
     #: raise on failure instead of returning a failed result
     raise_on_failure: bool = False
     #: artificial delay (seconds) before the run starts — simulates the

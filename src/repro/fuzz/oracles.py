@@ -341,7 +341,7 @@ def oracle_sccs(instance: FuzzInstance, ctx: OracleContext) -> list[Finding]:
     sp, inv = _sp(instance)
     sym = sp.sym
     not_i = sym.bdd.diff(sym.domain_cur, inv)
-    relations = sp.relations_for(instance.protocol.groups)
+    relations = sp.clustered_partitions(instance.protocol.groups)
     # the core must contain every cyclic SCC and be empty iff there are none
     core = sym.to_mask(cycle_core(sym, relations, not_i))
     missed = sum(1 for c in explicit if not core[list(c)].all())

@@ -68,13 +68,7 @@ def coloring_invariant_bdd(sym, k: int) -> int:
     return sym.bdd.and_all(sym.neq_vars((i - 1) % k, i) for i in range(k))
 
 
-def coloring_symbolic(
-    k: int,
-    colors: int = 3,
-    *,
-    relation_mode: str = "partitioned",
-    cluster_size: int | None = None,
-):
+def coloring_symbolic(k: int, colors: int = 3):
     """Symbolic-engine setup: ``(protocol, SymbolicProtocol, invariant_bdd)``."""
     from ..symbolic.encode import SymbolicProtocol
 
@@ -85,6 +79,5 @@ def coloring_symbolic(
     space = coloring_space(k, colors)
     topology = ring_topology(space, list(range(k)), read_left=True, read_right=True)
     protocol = Protocol.empty(space, topology, name=f"coloring_k{k}_c{colors}")
-    kwargs = {} if cluster_size is None else {"cluster_size": cluster_size}
-    sp = SymbolicProtocol(protocol, relation_mode=relation_mode, **kwargs)
+    sp = SymbolicProtocol(protocol)
     return protocol, sp, coloring_invariant_bdd(sp.sym, k)

@@ -1,6 +1,6 @@
 """Symbolic (BDD) engine: encoding, images, SCCs, ranking and synthesis."""
 
-from .encode import RELATION_MODES, SymbolicProtocol, SymbolicSpace
+from .encode import CLUSTER_SIZE, SymbolicProtocol, SymbolicSpace
 from .engine import (
     SymbolicSynthesisResult,
     SymbolicSynthesisState,
@@ -26,19 +26,16 @@ from .ranking import (
     compute_ranks_symbolic,
 )
 from .scc import (
-    SCC_ALGORITHMS,
     SymbolicInternalError,
     cycle_core,
     gentilini_sccs,
     lockstep_sccs,
-    scc_algorithm_by_name,
     xie_beerel_sccs,
 )
 
 __all__ = [
-    "RELATION_MODES",
+    "CLUSTER_SIZE",
     "Partition",
-    "SCC_ALGORITHMS",
     "SymbolicInternalError",
     "SymbolicProtocol",
     "SymbolicRanking",
@@ -63,6 +60,5 @@ __all__ = [
     "preimage",
     "preimage_union",
     "relation_links",
-    "scc_algorithm_by_name",
     "xie_beerel_sccs",
 ]

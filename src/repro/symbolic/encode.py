@@ -22,24 +22,18 @@ The encoding's bit count is bounded by :data:`repro.bdd.MAX_VARS`: a
 protocol whose current and next bits together exceed it raises
 ``ValueError`` when its :class:`SymbolicSpace` is created.
 
-Relation representations
-------------------------
-:class:`SymbolicProtocol` can serve its transition relation in three
-shapes, selected by ``relation_mode``:
-
-``"partitioned"`` (default)
-    Frameless :class:`~repro.symbolic.partition.Partition`\\ s, one per
-    *cluster* of ``cluster_size`` consecutive processes (default 3);
-    images rename/quantify only the cluster's written bits (implicit
-    frames, maximal early quantification).  The fast path.
-``"process"``
-    One full-frame relation BDD per process (the pre-partitioning
-    behaviour); images quantify every bit.
-``"monolithic"``
-    A single union relation BDD — the baseline the substrate-scaling
-    benchmarks measure against.
-
-All three are accepted interchangeably by :mod:`repro.symbolic.image`.
+Transition relation
+-------------------
+:class:`SymbolicProtocol` serves the transition relation to the engine as
+frameless :class:`~repro.symbolic.partition.Partition`\\ s, one per
+*cluster* of :data:`CLUSTER_SIZE` consecutive processes
+(:meth:`SymbolicProtocol.clustered_partitions`); images rename/quantify
+only the cluster's written bits (implicit frames, maximal early
+quantification).  Full-frame relation BDDs
+(:meth:`SymbolicProtocol.group_relation`, :meth:`~SymbolicProtocol.relation_of`,
+:meth:`~SymbolicProtocol.process_relations`) remain for the certificate
+emitter and checker, the space metrics and the tests' references;
+:mod:`repro.symbolic.image` accepts both shapes.
 
 The :class:`SymbolicSpace` offers the combinators the case studies and the
 synthesis engine need (value cubes, variable (in)equalities, frames, group
@@ -63,8 +57,11 @@ from ..protocol.protocol import Protocol
 from ..protocol.state_space import StateSpace
 from .partition import Partition, make_partition
 
-#: accepted values of ``SymbolicProtocol.relation_mode``
-RELATION_MODES = ("partitioned", "process", "monolithic")
+#: consecutive processes merged into one partition each.  It balances the
+#: per-image traversal count (one per partition) against partition BDD
+#: size (which grows with the partial frame) — see
+#: ``benchmarks/SUBSTRATE_SCALING.md`` for measurements.
+CLUSTER_SIZE = 3
 
 
 def _bits_for(domain: int) -> int:
@@ -303,47 +300,24 @@ class SymbolicSpace:
 
 
 class SymbolicProtocol:
-    """Symbolic view of a protocol: per-group and per-process relations.
+    """Symbolic view of a protocol: per-group, per-process and clustered
+    relations.
 
-    ``relation_mode`` picks the representation served by
-    :meth:`relations_for` (see the module docstring): ``"partitioned"``
-    frameless clustered partitions, ``"process"`` full-frame per-process
-    relations, or ``"monolithic"`` a single union relation.
-
-    ``cluster_size`` tunes the partitioned mode: consecutive processes are
-    merged ``cluster_size`` at a time into one partition each (partial
-    frames re-introduce ``v' = v`` only for the *other* cluster members'
-    write variables).  ``1`` keeps one partition per process; ``>=
-    n_processes`` degenerates to a single frameless union.  The default of
-    3 balances per-image traversal count (which scales with the number of
-    partitions) against partition BDD size (which grows with the frame) —
-    see ``benchmarks/SUBSTRATE_SCALING.md`` for measurements.
+    Consecutive processes are merged :data:`CLUSTER_SIZE` at a time into
+    one frameless partition each (partial frames re-introduce ``v' = v``
+    only for the *other* cluster members' write variables); the last
+    cluster holds the remainder when ``CLUSTER_SIZE`` does not divide the
+    process count.
     """
 
-    def __init__(
-        self,
-        protocol: Protocol,
-        sym: SymbolicSpace | None = None,
-        *,
-        relation_mode: str = "partitioned",
-        cluster_size: int = 3,
-    ):
-        if relation_mode not in RELATION_MODES:
-            raise ValueError(
-                f"relation_mode must be one of {RELATION_MODES}, "
-                f"got {relation_mode!r}"
-            )
-        if cluster_size < 1:
-            raise ValueError(f"cluster_size must be >= 1, got {cluster_size}")
+    def __init__(self, protocol: Protocol, sym: SymbolicSpace | None = None):
         self.protocol = protocol
         self.sym = sym if sym is not None else SymbolicSpace(protocol.space)
-        self.relation_mode = relation_mode
-        self.cluster_size = cluster_size
         k = protocol.n_processes
         #: consecutive process runs merged into one partition each
         self.clusters: tuple[tuple[int, ...], ...] = tuple(
-            tuple(range(lo, min(lo + cluster_size, k)))
-            for lo in range(0, k, cluster_size)
+            tuple(range(lo, min(lo + CLUSTER_SIZE, k)))
+            for lo in range(0, k, CLUSTER_SIZE)
         )
         self._cluster_of = [
             ci for ci, procs in enumerate(self.clusters) for _ in procs
@@ -430,15 +404,6 @@ class SymbolicProtocol:
             for j, gs in enumerate(groups)
         ]
 
-    def process_partitions(
-        self, groups: Sequence[Iterable[tuple[int, int]]]
-    ) -> list[Partition]:
-        """One frameless :class:`Partition` per process."""
-        return [
-            self.partition_of(j, ((j, r, w) for (r, w) in gs))
-            for j, gs in enumerate(groups)
-        ]
-
     def cluster_index(self, j: int) -> int:
         """Index into :meth:`clustered_partitions` of process ``j``'s
         cluster."""
@@ -454,8 +419,9 @@ class SymbolicProtocol:
     def clustered_partitions(
         self, groups: Sequence[Iterable[tuple[int, int]]]
     ) -> list[Partition]:
-        """One frameless :class:`Partition` per *cluster* of
-        :attr:`cluster_size` consecutive processes.
+        """The transition relation of ``groups``: one frameless
+        :class:`Partition` per *cluster* of :data:`CLUSTER_SIZE`
+        consecutive processes.
 
         Each member process's frameless relation is conjoined with the
         partial frame over the cluster's other write variables, so every
@@ -478,30 +444,6 @@ class SymbolicProtocol:
                 make_partition(self.sym, process, rel, self._cluster_writes[ci])
             )
         return out
-
-    def relations_for(
-        self, groups: Sequence[Iterable[tuple[int, int]]]
-    ) -> list:
-        """The transition relation in the representation selected by
-        :attr:`relation_mode` (see the module docstring).
-
-        ``"monolithic"`` returns a single-element list; the image
-        functions in :mod:`repro.symbolic.image` accept all three shapes.
-        """
-        if self.relation_mode == "partitioned":
-            return self.clustered_partitions(groups)
-        rels = self.process_relations(groups)
-        if self.relation_mode == "monolithic":
-            return [self.sym.bdd.or_all(rels)]
-        return rels
-
-    def candidate_relation(self, gid: GroupId):
-        """One group's relation in the representation of
-        :attr:`relation_mode` — what cycle resolution appends as a
-        candidate disjunct."""
-        if self.relation_mode == "partitioned":
-            return self.group_partition(gid)
-        return self.group_relation(gid)
 
     # ------------------------------------------------------------------
     # garbage-collection roots

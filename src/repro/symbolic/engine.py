@@ -6,12 +6,13 @@ bookkeeping stays explicit because candidate group sets are tiny (hundreds)
 even when the state space is ``3^40``.  Cross-engine equivalence on small
 instances is enforced by the test suite.
 
-The transition relation flows through the engine in the representation
-picked by ``SymbolicProtocol.relation_mode`` (frameless per-process
-partitions by default — see :mod:`repro.symbolic.partition`); the rank-
-decrease shortcut keeps one "down" BDD per write set so it works against
-frameless partitions, and pass boundaries run a mark-and-sweep GC rooted
-at the live synthesis state (:meth:`SymbolicSynthesisState.gc_roots`).
+The transition relation flows through the engine as frameless clustered
+partitions (:meth:`SymbolicProtocol.clustered_partitions`, see
+:mod:`repro.symbolic.partition`) and cycles are detected with Gentilini
+et al.'s algorithm, the paper's ``Detect_SCC``; the rank-decrease shortcut
+keeps one "down" BDD per write set so it works against frameless
+partitions, and pass boundaries run a mark-and-sweep GC rooted at the live
+synthesis state (:meth:`SymbolicSynthesisState.gc_roots`).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .encode import SymbolicProtocol
 from .image import backward_closure, forward_closure, relation_links
 from .partition import Partition
 from .ranking import SymbolicRanking, compute_ranks_symbolic
-from .scc import scc_algorithm_by_name
+from .scc import gentilini_sccs
 
 
 @dataclass
@@ -45,15 +46,13 @@ class SymbolicSynthesisState:
     sp: SymbolicProtocol
     invariant: int
     stats: SynthesisStats
-    scc_algorithm: str = "gentilini"
     cycle_resolution_mode: str = "batch"
     pss_groups: list[set[tuple[int, int]]] = field(init=False)
     added_groups: list[set[tuple[int, int]]] = field(init=False)
     removed_groups: list[set[tuple[int, int]]] = field(init=False)
-    #: pss transition relation in ``sp.relation_mode``'s representation,
-    #: kept incrementally: per-cluster :class:`Partition`s (partitioned),
-    #: per-process full-frame BDDs (process), or one union BDD (monolithic)
-    relations: list = field(init=False)
+    #: pss transition relation, one :class:`Partition` per process
+    #: cluster, kept incrementally
+    relations: list[Partition] = field(init=False)
     #: states with at least one outgoing transition (= union of rcubes)
     enabled: int = field(init=False)
 
@@ -75,10 +74,10 @@ class SymbolicSynthesisState:
         # transitions also all decrease rank, with no SCC search at all.
         self._ranks: list[int] | None = None
         # "down" BDDs ∨_i (Rank_i ∧ Rank_{i-1} at the successor), keyed by
-        # write set: None = full-frame prime; a Partition's write_next =
-        # the subset rename that evaluates a predicate at the successor of
-        # a frameless transition (unwritten variables read current bits).
-        self._down_cache: dict[tuple[int, ...] | None, int] = {}
+        # a Partition's write_next: the subset rename that evaluates a
+        # predicate at the successor of a frameless transition (unwritten
+        # variables read current bits).
+        self._down_cache: dict[tuple[int, ...], int] = {}
         self._all_decreasing = False
 
     def install_rank_shortcut(self, ranking: "SymbolicRanking") -> None:
@@ -89,52 +88,43 @@ class SymbolicSynthesisState:
             self._relation_is_decreasing(rel) for rel in self.relations
         )
 
-    def _down_for(self, part: Partition | None) -> int:
+    def _down_for(self, part: Partition) -> int:
         """``∨_i Rank_i ∧ Rank_{i-1}[successor]`` for one write set."""
         assert self._ranks is not None
-        key = None if part is None else part.write_next
+        key = part.write_next
         cached = self._down_cache.get(key)
         if cached is None:
             sym = self.sp.sym
-            if part is None:
-                at_succ = sym.prime
-            else:
-                mapping = dict(part.cur_to_next)
-                at_succ = lambda f: sym.bdd.rename(f, mapping)  # noqa: E731
+            mapping = dict(part.cur_to_next)
             cached = ZERO
             for i in range(1, len(self._ranks)):
                 cached = sym.bdd.or_(
                     cached,
-                    sym.bdd.and_(self._ranks[i], at_succ(self._ranks[i - 1])),
+                    sym.bdd.and_(
+                        self._ranks[i],
+                        sym.bdd.rename(self._ranks[i - 1], mapping),
+                    ),
                 )
             self._down_cache[key] = cached
         return cached
 
-    def _relation_is_decreasing(self, relation) -> bool:
+    def _relation_is_decreasing(self, relation: Partition) -> bool:
         """Is every ``¬I -> ¬I`` transition of ``relation`` strictly
         rank-decreasing (from Rank[i] into Rank[i-1])?
 
-        Accepts either representation: for a frameless partition the
-        successor-side predicates are renamed only on the written bits —
-        against the full-frame ``down`` the unconstrained unwritten next
-        bits would spuriously fail the check.
+        The successor-side predicates are renamed only on the partition's
+        written bits — against a full-frame ``down`` the unconstrained
+        unwritten next bits would spuriously fail the check.
         """
         sym = self.sp.sym
         not_i = self.not_i
-        if isinstance(relation, Partition):
-            succ_not_i = sym.bdd.rename(not_i, dict(relation.cur_to_next))
-            restricted = sym.bdd.and_(
-                sym.bdd.and_(relation.rel, not_i), succ_not_i
-            )
-            return sym.bdd.diff(restricted, self._down_for(relation)) == ZERO
-        restricted = sym.bdd.and_(
-            sym.bdd.and_(relation, not_i), sym.prime(not_i)
-        )
-        return sym.bdd.diff(restricted, self._down_for(None)) == ZERO
+        succ_not_i = sym.bdd.rename(not_i, dict(relation.cur_to_next))
+        restricted = sym.bdd.and_(sym.bdd.and_(relation.rel, not_i), succ_not_i)
+        return sym.bdd.diff(restricted, self._down_for(relation)) == ZERO
 
     def _rebuild_relations(self) -> None:
         sym = self.sp.sym
-        self.relations = self.sp.relations_for(self.pss_groups)
+        self.relations = self.sp.clustered_partitions(self.pss_groups)
         self.enabled = sym.bdd.or_all(
             self.sp.rcube(j, rcode)
             for j, gs in enumerate(self.pss_groups)
@@ -184,26 +174,16 @@ class SymbolicSynthesisState:
         gid = (j, rcode, wcode)
         if self._all_decreasing and self._ranks is not None:
             self._all_decreasing = self._relation_is_decreasing(
-                self.sp.candidate_relation(gid)
+                self.sp.group_partition(gid)
             )
         self.pss_groups[j].add((rcode, wcode))
         self.added_groups[j].add((rcode, wcode))
-        mode = self.sp.relation_mode
-        if mode == "partitioned":
-            ci = self.sp.cluster_index(j)
-            part = self.relations[ci]
-            lifted = sym.bdd.and_(
-                self.sp.group_partition(gid).rel, self.sp.cluster_lift(j, ci)
-            )
-            self.relations[ci] = part.merged(sym.bdd.or_(part.rel, lifted))
-        elif mode == "process":
-            self.relations[j] = sym.bdd.or_(
-                self.relations[j], self.sp.group_relation(gid)
-            )
-        else:  # monolithic: a single union relation
-            self.relations[0] = sym.bdd.or_(
-                self.relations[0], self.sp.group_relation(gid)
-            )
+        ci = self.sp.cluster_index(j)
+        part = self.relations[ci]
+        lifted = sym.bdd.and_(
+            self.sp.group_partition(gid).rel, self.sp.cluster_lift(j, ci)
+        )
+        self.relations[ci] = part.merged(sym.bdd.or_(part.rel, lifted))
         self.enabled = sym.bdd.or_(self.enabled, self.sp.rcube(j, rcode))
         self.stats.bump("groups_added")
 
@@ -219,8 +199,8 @@ class SymbolicSynthesisState:
         yield from self.sp.gc_roots()
         yield self.invariant
         yield self.enabled
-        for rel in self.relations:
-            yield rel.rel if isinstance(rel, Partition) else rel
+        for part in self.relations:
+            yield part.rel
         yield from self._rcube2_cache.values()
         if self._ranks is not None:
             yield from self._ranks
@@ -248,7 +228,7 @@ def identify_resolve_cycles_symbolic(
         # a union decreases rank iff every disjunct does, so candidates
         # can be checked one by one against the cached per-write-set downs
         if all(
-            state._relation_is_decreasing(state.sp.candidate_relation(g))
+            state._relation_is_decreasing(state.sp.group_partition(g))
             for g in candidates
         ):
             state.stats.bump("scc_skipped_by_rank_shortcut")
@@ -258,7 +238,7 @@ def identify_resolve_cycles_symbolic(
         "identify_resolve_cycles", n_candidates=len(candidates)
     ) as span:
         not_i = state.not_i
-        cand_rels = [state.sp.candidate_relation(g) for g in candidates]
+        cand_rels = [state.sp.group_partition(g) for g in candidates]
         srcs = sym.bdd.and_(
             sym.bdd.or_all(state.sp.rcube(g[0], g[1]) for g in candidates),
             not_i,
@@ -269,44 +249,30 @@ def identify_resolve_cycles_symbolic(
             ),
             not_i,
         )
-        # For the closures and the SCC search the candidates are merged
-        # into as few disjuncts as the representation allows — every
-        # symbolic step pays one traversal per disjunct, so candidate
-        # count must not inflate the relation list.  Partitioned mode
-        # folds the candidates straight into copies of the committed
-        # cluster partitions (lifting each process's frameless relation
-        # with the cluster's partial frame keeps the union well-formed),
-        # so the step cost stays at the cluster count.
+        # For the closures and the SCC search the candidates are folded
+        # straight into copies of the committed cluster partitions —
+        # every symbolic step pays one traversal per disjunct, so
+        # candidate count must not inflate the relation list.  Lifting
+        # each process's frameless relation with the cluster's partial
+        # frame keeps the union well-formed, so the step cost stays at the
+        # cluster count.
         by_proc: dict[int, list[GroupId]] = {}
         for g in candidates:
             by_proc.setdefault(g[0], []).append(g)
-        if state.sp.relation_mode == "partitioned":
-            aug: dict[int, int] = {}
-            for j, gs in by_proc.items():
-                ci = state.sp.cluster_index(j)
-                lifted = sym.bdd.and_(
-                    state.sp.partition_of(j, gs).rel,
-                    state.sp.cluster_lift(j, ci),
-                )
-                aug[ci] = sym.bdd.or_(aug.get(ci, ZERO), lifted)
-            relations = [
-                part
-                if ci not in aug
-                else part.merged(sym.bdd.or_(part.rel, aug[ci]))
-                for ci, part in enumerate(state.relations)
-            ]
-        elif state.sp.relation_mode == "monolithic":
-            cand_union = sym.bdd.or_all(
-                state.sp.group_relation(g) for g in candidates
+        aug: dict[int, int] = {}
+        for j, gs in by_proc.items():
+            ci = state.sp.cluster_index(j)
+            lifted = sym.bdd.and_(
+                state.sp.partition_of(j, gs).rel,
+                state.sp.cluster_lift(j, ci),
             )
-            relations = [sym.bdd.or_(state.relations[0], cand_union)]
-        else:  # process: fold into the owning process's full-frame relation
-            relations = list(state.relations)
-            for j, gs in by_proc.items():
-                relations[j] = sym.bdd.or_(
-                    relations[j],
-                    sym.bdd.or_all(state.sp.group_relation(g) for g in gs),
-                )
+            aug[ci] = sym.bdd.or_(aug.get(ci, ZERO), lifted)
+        relations = [
+            part
+            if ci not in aug
+            else part.merged(sym.bdd.or_(part.rel, aug[ci]))
+            for ci, part in enumerate(state.relations)
+        ]
         # Any new cycle contains a candidate edge (s, t) with t reaching s,
         # so it is confined to backward(srcs) ∩ forward(dsts).  The backward
         # closure is computed first: candidate sources are deadlock-ish
@@ -321,9 +287,8 @@ def identify_resolve_cycles_symbolic(
         region = sym.bdd.and_(fwd, bwd)
         if region == ZERO:
             return set()
-        algorithm = scc_algorithm_by_name(state.scc_algorithm)
         with use_tracer(state.stats.tracer):
-            sccs = algorithm(sym, relations, region)
+            sccs = gentilini_sccs(sym, relations, region)
         span["n_sccs"] = len(sccs)
         state.stats.record_sccs(
             [sym.count_states(c) for c in sccs],
@@ -546,14 +511,10 @@ def _preprocess_cycles_symbolic(
     state: SymbolicSynthesisState, options: HeuristicOptions
 ) -> None:
     sym = state.sp.sym
-    if all(
-        (rel.rel if isinstance(rel, Partition) else rel) == ZERO
-        for rel in state.relations
-    ):
+    if all(part.rel == ZERO for part in state.relations):
         return  # an empty relation has no cycles (common: empty input protocol)
-    algorithm = scc_algorithm_by_name(state.scc_algorithm)
     with state.stats.timer("scc"), use_tracer(state.stats.tracer):
-        sccs = algorithm(sym, state.relations, state.not_i)
+        sccs = gentilini_sccs(sym, state.relations, state.not_i)
     if not sccs:
         return
     state.stats.record_sccs(
@@ -563,7 +524,7 @@ def _preprocess_cycles_symbolic(
     offenders: list[GroupId] = []
     for j, gs in enumerate(state.pss_groups):
         for rcode, wcode in sorted(gs):
-            rel = state.sp.candidate_relation((j, rcode, wcode))
+            rel = state.sp.group_partition((j, rcode, wcode))
             for scc in sccs:
                 if relation_links(sym, rel, scc, scc):
                     if state.rcode_touches_i(j, rcode):
@@ -588,19 +549,13 @@ def add_strong_convergence_symbolic(
     schedule: Sequence[int] | None = None,
     options: HeuristicOptions | None = None,
     stats: SynthesisStats | None = None,
-    scc_algorithm: str | None = None,
 ) -> SymbolicSynthesisResult:
     """The three-pass heuristic, fully symbolic.
 
     ``invariant`` is a BDD over ``sp.sym`` (build it with the case studies'
     ``*_invariant_bdd`` helpers or ``SymbolicSpace.from_predicate``).
-    ``scc_algorithm`` overrides ``options.scc_algorithm`` when given (a
-    :data:`repro.symbolic.scc.SCC_ALGORITHMS` name).
     """
     options = options or HeuristicOptions()
-    if scc_algorithm is None:
-        scc_algorithm = options.scc_algorithm
-    scc_algorithm_by_name(scc_algorithm)  # validate the name up front
     stats = stats if stats is not None else SynthesisStats()
     sp = sp if sp is not None else SymbolicProtocol(protocol)
     k = protocol.n_processes
@@ -615,7 +570,6 @@ def add_strong_convergence_symbolic(
             sp,
             invariant,
             stats,
-            scc_algorithm=scc_algorithm,
             cycle_resolution_mode=options.cycle_resolution_mode,
         )
         if options.disable_cycle_resolution:

@@ -3,15 +3,16 @@
 Two relation representations are accepted everywhere, and may be mixed
 within one sequence:
 
+* a :class:`repro.symbolic.partition.Partition` — a *frameless*
+  per-cluster disjunct, the engine's representation: images rename and
+  quantify **only the written variables' bits**, the implicit-frame
+  optimisation that makes partitioned image computation cheap (see
+  :mod:`repro.symbolic.partition` for why this is the maximal
+  early-quantification schedule for a disjunctive partitioning);
 * a plain ``int`` — a *full-frame* relation BDD over all current and next
-  bits (the monolithic/legacy representation): images quantify every bit
-  of one copy and rename every bit of the other;
-* a :class:`repro.symbolic.partition.Partition` — a *frameless* per-process
-  disjunct: images rename and quantify **only the written variables'
-  bits**, the implicit-frame optimisation that makes partitioned image
-  computation cheap (see :mod:`repro.symbolic.partition` for why this is
-  the maximal early-quantification schedule for a disjunctive
-  partitioning).
+  bits, used by the certificate emitter and checker and by the tests'
+  references: images quantify every bit of one copy and rename every bit
+  of the other.
 
 ``preimage_union``/``postimage_union`` compute the image under the union
 relation ``∨ T_j`` as the union of per-partition images — disjunction

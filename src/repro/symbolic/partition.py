@@ -33,15 +33,15 @@ The subset renames stay order-preserving because the encoding interleaves
 current/next bits and :meth:`repro.bdd.BDD.set_reorder_blocks` sifts those
 pairs as units.
 
-:meth:`repro.symbolic.encode.SymbolicProtocol.process_partitions` builds
-one partition per process — processes are the natural clusters here
-because every group of a process shares its read/write sets (per-group
-partitions come from
-:meth:`~repro.symbolic.encode.SymbolicProtocol.group_partition`).  The
-functions in :mod:`repro.symbolic.image` accept
-partitions and plain (full-frame) relation BDDs interchangeably, so the
-engine can mix committed partitions with candidate relations and the
-benchmarks can pin the partitioned engine against the monolithic baseline.
+:meth:`repro.symbolic.encode.SymbolicProtocol.clustered_partitions`
+builds the engine's relation: one partition per cluster of consecutive
+processes, each member lifted by the partial frame over the cluster's
+other write variables (per-process partitions come from
+:meth:`~repro.symbolic.encode.SymbolicProtocol.partition_of`, per-group
+ones from :meth:`~repro.symbolic.encode.SymbolicProtocol.group_partition`).
+The functions in :mod:`repro.symbolic.image` accept partitions and plain
+(full-frame) relation BDDs interchangeably, so the certificate code and
+the tests' references can use full-frame relations.
 """
 
 from __future__ import annotations

@@ -74,7 +74,7 @@ def compute_ranks_symbolic(
     tracer = tracer if tracer is not None else current_tracer()
     sym = sp.sym
     pim = compute_pim_groups_symbolic(sp, invariant)
-    relations = sp.relations_for(pim)
+    relations = sp.clustered_partitions(pim)
     tracer.counter_set("symbolic.partition_count", len(relations))
     invariant = sym.bdd.and_(invariant, sym.domain_cur)
     ranks = [invariant]

@@ -2,15 +2,19 @@
 
 Three implementations over BDD state sets:
 
-* :func:`xie_beerel_sccs` — the classic forward/backward-set algorithm
-  (quadratic number of symbolic steps, simple and obviously correct);
 * :func:`gentilini_sccs` — Gentilini, Piazza & Policriti's skeleton-based
   algorithm (linear number of symbolic steps) — the algorithm the paper's
-  ``Detect_SCC`` implements (Section V cites it explicitly);
+  ``Detect_SCC`` implements (Section V cites it explicitly) and the one
+  the synthesis engine runs;
+* :func:`xie_beerel_sccs` — the classic forward/backward-set algorithm
+  (quadratic number of symbolic steps, simple and obviously correct);
 * :func:`lockstep_sccs` — Bloem–Gazi–Somenzi lockstep search
   (``O(n log n)`` symbolic steps): forward and backward sets grow in
   lockstep, the first to converge caps the other, and every recursion
   re-trims its part before the pick.
+
+The last two are references: the tests and the ``sccs`` fuzz oracle check
+that all three agree.
 
 All three start from :func:`cycle_core`, the trimming fixpoint that strips
 the acyclic fringe (every cyclic SCC survives it, and it is empty exactly
@@ -296,20 +300,3 @@ def _gentilini_loop(sym, relations, work, tracer) -> list[int]:
         work.append(_Task(v=sym.bdd.diff(v, fw), s=s_rest, n=n2))
     return out
 
-
-#: name → implementation; the engine/portfolio configs select by name.
-SCC_ALGORITHMS = {
-    "xie_beerel": xie_beerel_sccs,
-    "gentilini": gentilini_sccs,
-    "lockstep": lockstep_sccs,
-}
-
-
-def scc_algorithm_by_name(name: str):
-    """Resolve an SCC algorithm name from :data:`SCC_ALGORITHMS`."""
-    try:
-        return SCC_ALGORITHMS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown SCC algorithm {name!r}; known: {sorted(SCC_ALGORITHMS)}"
-        ) from None

@@ -53,7 +53,7 @@ def analyze_stabilization_symbolic(
     sym = sp.sym
     invariant = sym.bdd.and_(invariant_bdd, sym.domain_cur)
     not_i = sym.bdd.diff(sym.domain_cur, invariant)
-    relations = sp.relations_for(protocol.groups)
+    relations = sp.clustered_partitions(protocol.groups)
 
     # closure: post(I) ⊆ I
     escaped = sym.bdd.diff(

@@ -108,7 +108,7 @@ class TestSymbolicEmission:
     def test_symbolic_emission_direct(self):
         protocol, invariant = token_ring(3, 3)
         result = add_strong_convergence(protocol, invariant)
-        sp = SymbolicProtocol(protocol, relation_mode="process")
+        sp = SymbolicProtocol(protocol)
         cert = emit_certificate_symbolic(
             sp,
             sp.sym.from_predicate(invariant),

@@ -173,10 +173,12 @@ class TestJobSpec:
             JobSpec.from_payload({"protocol": "bogus"})
 
     def test_validates_options_and_ranges(self):
-        with pytest.raises(InvalidJob, match="unknown heuristic options"):
-            JobSpec.from_payload(
-                {"protocol": "matching", "options": {"nope": True}}
-            )
+        # a removed option is rejected, not silently ignored
+        for options in ({"nope": True}, {"scc_algorithm": "xie_beerel"}):
+            with pytest.raises(InvalidJob, match="unknown heuristic options"):
+                JobSpec.from_payload(
+                    {"protocol": "matching", "options": options}
+                )
         with pytest.raises(InvalidJob, match="out of range"):
             JobSpec.from_payload({"protocol": "matching", "k": 9999})
 

@@ -13,7 +13,12 @@ from repro.core import (
 )
 from repro.protocols import coloring, matching, token_ring
 from repro.protocols.coloring import coloring_symbolic
-from repro.symbolic import SymbolicProtocol, add_strong_convergence_symbolic
+from repro.symbolic import (
+    SymbolicProtocol,
+    add_strong_convergence_symbolic,
+    postimage_union,
+    preimage_union,
+)
 from repro.verify import check_solution
 
 from conftest import make_closed_invariant, make_random_protocol
@@ -56,50 +61,45 @@ class TestCaseStudyEquivalence:
         explicit, symbolic = run_both(protocol, invariant, options=options)
         assert symbolic.pss_groups == explicit.protocol.groups
 
-    def test_scc_algorithm_choice(self):
-        protocol, invariant = matching(4)
-        sp = SymbolicProtocol(protocol)
-        inv = sp.sym.from_predicate(invariant)
-        gent = add_strong_convergence_symbolic(
-            protocol, inv, sp=sp, scc_algorithm="gentilini"
-        )
-        sp2 = SymbolicProtocol(protocol)
-        inv2 = sp2.sym.from_predicate(invariant)
-        xb = add_strong_convergence_symbolic(
-            protocol, inv2, sp=sp2, scc_algorithm="xie_beerel"
-        )
-        assert gent.pss_groups == xb.pss_groups
-
 
 class TestRelationModeEquivalence:
-    """Every relation representation must synthesize the same protocol —
-    the explicit engine is the shared ground truth."""
+    """The engine's clustered partitions must synthesize what the explicit
+    engine does, and must keep the images of the full-frame references
+    (per-process relations and their union, built here on the engine's
+    space) on the synthesized protocol."""
 
-    MODES = [
-        ("monolithic", None),
-        ("process", None),
-        ("partitioned", 1),
-        ("partitioned", 2),
-        ("partitioned", 3),
-        ("partitioned", 99),
-    ]
+    # matching(4): a full cluster plus a singleton; coloring(5): a full
+    # cluster plus a partial one; K=3: one whole-ring cluster
+    CASES = {
+        "matching": lambda: matching(4),
+        "coloring": lambda: coloring(5),
+        "matching-3": lambda: matching(3),
+        "coloring-3": lambda: coloring(3),
+    }
 
-    @pytest.mark.parametrize(
-        "case", [lambda: matching(4), lambda: coloring(5)], ids=["matching", "coloring"]
-    )
-    @pytest.mark.parametrize(
-        "mode,cluster", MODES, ids=[f"{m}-c{c}" if c else m for m, c in MODES]
-    )
-    def test_modes_match_explicit(self, case, mode, cluster):
+    @pytest.mark.parametrize("case", CASES.values(), ids=CASES.keys())
+    @pytest.mark.parametrize("reference", ["monolithic", "process"])
+    def test_modes_match_explicit(self, case, reference):
         protocol, invariant = case()
         explicit = add_strong_convergence(protocol, invariant)
-        kwargs = {} if cluster is None else {"cluster_size": cluster}
-        sp = SymbolicProtocol(protocol, relation_mode=mode, **kwargs)
-        inv = sp.sym.from_predicate(invariant)
+        sp = SymbolicProtocol(protocol)
+        sym = sp.sym
+        inv = sym.from_predicate(invariant)
         symbolic = add_strong_convergence_symbolic(protocol, inv, sp=sp)
         assert symbolic.success == explicit.success
         assert symbolic.pss_groups == explicit.protocol.groups
         assert symbolic.pass_completed == explicit.pass_completed
+        ref = sp.process_relations(symbolic.pss_groups)
+        if reference == "monolithic":
+            ref = [sym.bdd.or_all(ref)]
+        parts = sp.clustered_partitions(symbolic.pss_groups)
+        for states in (inv, sym.bdd.diff(sym.domain_cur, inv)):
+            assert preimage_union(sym, parts, states) == preimage_union(
+                sym, ref, states
+            )
+            assert postimage_union(sym, parts, states) == postimage_union(
+                sym, ref, states
+            )
 
     def test_auto_reorder_run_matches_default(self):
         """Synthesis with sifting enabled must not change the result."""

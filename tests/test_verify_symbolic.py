@@ -116,7 +116,7 @@ class TestEndToEndSymbolic:
         with use_tracer(tracer):
             gentilini_sccs(
                 sym,
-                sp2.relations_for(pss.groups),
+                sp2.clustered_partitions(pss.groups),
                 sym.bdd.diff(sym.domain_cur, inv2),
             )
         assert "scc.gentilini" in {
