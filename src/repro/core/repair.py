@@ -86,7 +86,5 @@ def repair(
     groups have groupmates inside ``I`` — removing them would change the
     fault-free behaviour, so no repair satisfying Problem III.1 exists.
     """
-    portfolio = synthesize(
-        protocol, invariant, max_attempts=max_attempts, verify=True
-    )
+    portfolio = synthesize(protocol, invariant, max_attempts=max_attempts)
     return RepairReport(original=protocol, portfolio=portfolio)

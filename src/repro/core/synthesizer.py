@@ -84,23 +84,48 @@ class PortfolioResult:
         return "\n".join(lines)
 
 
+def check_winner(
+    protocol: Protocol,
+    invariant: Predicate,
+    result: SynthesisResult,
+    config: SynthesisConfig,
+    tracer: Tracer | NullTracer,
+) -> None:
+    """Re-check a claimed success with the independent model checker
+    (:func:`repro.verify.check_solution`).
+
+    A rejection is a bug in the heuristic, never a failed attempt: it
+    raises :class:`SoundnessError` in the sequential portfolio and in every
+    parallel worker alike.
+    """
+    from ..verify.stabilization import check_solution
+
+    with tracer.span("verify.check_solution"):
+        check = check_solution(protocol, result.protocol, invariant)
+    if not check.ok:
+        raise SoundnessError(
+            f"heuristic claimed success but verification failed: "
+            f"{check} under {config.describe()}",
+            check=check,
+        )
+    result.verified = True
+
+
 def synthesize(
     protocol: Protocol,
     invariant: Predicate,
     *,
     configs: Iterable[SynthesisConfig] | None = None,
     max_attempts: int | None = None,
-    verify: bool = True,
     raise_on_failure: bool = False,
     tracer: Tracer | NullTracer | None = None,
 ) -> PortfolioResult:
     """Run heuristic instances until one produces a verified solution.
 
-    ``verify`` re-checks every claimed success with the independent model
-    checker (:func:`repro.verify.check_solution`) — "correct by construction"
-    is nice, "correct by construction *and* checked" is nicer.  The failure
-    result returned when the whole portfolio fails is the attempt with the
-    fewest remaining deadlock states.  A ``tracer`` profiles every attempt
+    Every claimed success is re-checked by :func:`check_winner` — "correct
+    by construction" is nice, "correct by construction *and* checked" is
+    nicer.  The failure result returned when the whole portfolio fails is
+    the attempt with the fewest remaining deadlock states.  A ``tracer`` profiles every attempt
     (one ``portfolio.attempt`` span each, with the per-pass spans nested
     under the attempt's stats).
 
@@ -110,7 +135,6 @@ def synthesize(
     multi-process portfolio ships to its workers.
     """
     from ..parallel.precompute import precompute_portfolio
-    from ..verify.stabilization import check_solution
 
     config_list = (
         list(configs)
@@ -141,16 +165,8 @@ def synthesize(
                 stats=stats,
                 precompute=precompute,
             )
-            if result.success and verify:
-                with stats.tracer.span("verify.check_solution"):
-                    check = check_solution(protocol, result.protocol, invariant)
-                result.verified = check.ok
-                if not check.ok:
-                    raise SoundnessError(
-                        f"heuristic claimed success but verification failed: "
-                        f"{check} under {config.describe()}",
-                        check=check,
-                    )
+            if result.success:
+                check_winner(protocol, invariant, result, config, stats.tracer)
             remaining = (
                 0
                 if result.success

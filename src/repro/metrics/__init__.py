@@ -5,7 +5,6 @@ from .reporting import (
     format_value,
     render_tables,
     safe_percent,
-    timer_breakdown,
 )
 from .stats import SynthesisStats
 
@@ -15,5 +14,4 @@ __all__ = [
     "format_value",
     "render_tables",
     "safe_percent",
-    "timer_breakdown",
 ]

@@ -1,14 +1,12 @@
-"""Rendering experiment results: aligned text tables and CSV export.
+"""Rendering experiment results as aligned text tables.
 
-The benchmark harness prints one table per paper figure; this module holds
-the reusable pieces — a tiny column-typed table with text/CSV/markdown
-rendering — so results can also be exported for plotting.
+The benchmark harness prints one table per paper figure and
+``stsyn trace-report`` one table per trace section; this module holds the
+reusable pieces — a tiny column-typed table and its text rendering.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -55,28 +53,6 @@ class ResultTable:
             lines.append("   " + "  ".join(c.rjust(w) for c, w in zip(row, widths)))
         return "\n".join(lines)
 
-    def to_csv(self) -> str:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(self.columns)
-        writer.writerows(self.rows)
-        return buffer.getvalue()
-
-    def to_markdown(self) -> str:
-        lines = [
-            "| " + " | ".join(str(c) for c in self.columns) + " |",
-            "|" + "|".join("---" for _ in self.columns) + "|",
-        ]
-        for row in self.rows:
-            lines.append(
-                "| " + " | ".join(format_value(c) for c in row) + " |"
-            )
-        return "\n".join(lines)
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as handle:
-            handle.write(self.to_csv())
-
 
 def render_tables(tables: Iterable[ResultTable]) -> str:
     return "\n\n".join(t.to_text() for t in tables)
@@ -86,25 +62,9 @@ def safe_percent(part: float, total: float) -> float:
     """``100 * part / total``, defined as 0.0 when ``total`` is zero.
 
     Every percentage column in this package goes through here: an empty
-    timers dict (or an all-zero one — possible on platforms with a coarse
+    trace (or an all-zero one — possible on platforms with a coarse
     ``perf_counter``) must render as 0 %, not crash the report.
     """
     if total <= 0:
         return 0.0
     return 100.0 * part / total
-
-
-def timer_breakdown(
-    timers: dict[str, float], *, title: str = "phase timers"
-) -> ResultTable:
-    """Phase-timer table with a percentage column, safe for empty input.
-
-    ``total`` (the outermost timer, when present) is excluded from the
-    percentage base so the inner phases read as shares of the whole run.
-    """
-    inner = {k: v for k, v in timers.items() if k != "total"}
-    base = sum(inner.values()) if "total" not in timers else timers["total"]
-    table = ResultTable(title, ["phase", "seconds", "% of total"])
-    for name in sorted(timers, key=lambda k: -timers[k]):
-        table.add(name, timers[name], safe_percent(timers[name], base))
-    return table

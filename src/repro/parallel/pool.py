@@ -69,7 +69,7 @@ from typing import Callable, Sequence
 
 from ..core.exceptions import PortfolioError, TransportError
 from ..core.heuristic import HeuristicOptions
-from ..core.synthesizer import SynthesisConfig, default_portfolio
+from ..core.synthesizer import SynthesisConfig, check_winner, default_portfolio
 from ..faults import runtime as fault_runtime
 from ..faults.runtime import FaultPlan
 from ..metrics.stats import SynthesisStats
@@ -174,7 +174,6 @@ def _worker(args) -> ParallelOutcome:
     from ..cert import CertificateError
     from ..core.exceptions import SynthesisCancelled
     from ..core.heuristic import add_strong_convergence
-    from ..verify.stabilization import check_solution
 
     fault_runtime.set_fault_context(config.describe(), attempt)
     ctx = _WORKER_CTX or {}
@@ -229,11 +228,9 @@ def _worker(args) -> ParallelOutcome:
                 retries=attempt,
             )
         success = result.success
-        if success:
-            with tracer.span("verify.check_solution"):
-                success = check_solution(protocol, result.protocol, invariant).ok
         certificate = None
         if success:
+            check_winner(protocol, invariant, result, config, tracer)
             # A failed emission is not a failed synthesis: the outcome simply
             # ships without a certificate and trust paths fall back to the
             # full (slower) check_solution re-verification.

@@ -1,6 +1,7 @@
 """Structured tracing and counters (spans, JSONL sinks, reports).
 
-See :mod:`repro.trace.tracer` for the event schema and
+See :mod:`repro.trace.tracer` for the event schema,
+:mod:`repro.trace.counters` for the declared counters and
 :mod:`repro.trace.report` for aggregation; README's "Observability"
 section documents the end-to-end workflow.
 """

@@ -8,7 +8,6 @@ from repro.metrics.reporting import (
     format_value,
     render_tables,
     safe_percent,
-    timer_breakdown,
 )
 
 
@@ -27,27 +26,6 @@ class TestResultTable:
         table = ResultTable("t", ["a", "b"])
         with pytest.raises(ValueError):
             table.add(1)
-
-    def test_csv(self):
-        table = ResultTable("t", ["a", "b"])
-        table.add(1, "x,y")
-        csv_text = table.to_csv()
-        assert csv_text.splitlines()[0] == "a,b"
-        assert '"x,y"' in csv_text
-
-    def test_markdown(self):
-        table = ResultTable("t", ["a", "b"])
-        table.add(True, 2)
-        md = table.to_markdown()
-        assert md.splitlines()[0] == "| a | b |"
-        assert "| yes | 2 |" in md
-
-    def test_write_csv(self, tmp_path):
-        table = ResultTable("t", ["a"])
-        table.add(5)
-        path = tmp_path / "out.csv"
-        table.write_csv(path)
-        assert path.read_text().strip().splitlines() == ["a", "5"]
 
     def test_render_tables_joins(self):
         t1 = ResultTable("one", ["x"])
@@ -71,35 +49,6 @@ class TestSafePercent:
 
     def test_negative_total_guarded(self):
         assert safe_percent(1.0, -3.0) == 0.0
-
-
-class TestTimerBreakdown:
-    def test_empty_timers_dict_renders(self):
-        # regression: the percentage column must not divide by an empty sum
-        table = timer_breakdown({})
-        text = table.to_text()
-        assert "phase timers" in text
-
-    def test_all_zero_timers_render_zero_percent(self):
-        table = timer_breakdown({"ranking": 0.0, "scc": 0.0})
-        assert all(row[-1] == 0.0 for row in table.rows)
-
-    def test_percentages_against_total_key(self):
-        table = timer_breakdown({"total": 2.0, "ranking": 1.0, "scc": 0.5})
-        by_phase = {row[0]: row[-1] for row in table.rows}
-        assert by_phase["total"] == 100.0
-        assert by_phase["ranking"] == 50.0
-        assert by_phase["scc"] == 25.0
-
-    def test_percentages_against_sum_without_total(self):
-        table = timer_breakdown({"ranking": 3.0, "scc": 1.0})
-        by_phase = {row[0]: row[-1] for row in table.rows}
-        assert by_phase["ranking"] == 75.0
-        assert by_phase["scc"] == 25.0
-
-    def test_sorted_by_descending_time(self):
-        table = timer_breakdown({"a": 0.1, "b": 0.9, "c": 0.5})
-        assert [row[0] for row in table.rows] == ["b", "c", "a"]
 
 
 class TestSynthesisStats:

@@ -5,26 +5,41 @@ import pytest
 
 import repro.verify.stabilization as stabilization
 from repro import SoundnessError, SynthesisError, synthesize
+from repro.parallel import synthesize_parallel
 from repro.protocols import token_ring
 from repro.verify import extract_cycle
 from repro.verify.stabilization import SolutionCheck
 
 
+REJECTED = SolutionCheck(
+    invariant_closed=True,
+    behavior_inside_i_unchanged=True,
+    converges=False,
+    mode="strong",
+)
+
+
 def test_rejected_winner_raises_soundness_error(monkeypatch):
     protocol, invariant = token_ring(3, 3)
-    rejected = SolutionCheck(
-        invariant_closed=True,
-        behavior_inside_i_unchanged=True,
-        converges=False,
-        mode="strong",
-    )
     monkeypatch.setattr(
-        stabilization, "check_solution", lambda *args, **kwargs: rejected
+        stabilization, "check_solution", lambda *args, **kwargs: REJECTED
     )
     with pytest.raises(SoundnessError) as info:
         synthesize(protocol, invariant)
-    assert info.value.check is rejected
+    assert info.value.check is REJECTED
     assert isinstance(info.value, SynthesisError)
+    assert "verification failed" in str(info.value)
+
+
+def test_rejected_parallel_winner_raises_soundness_error(monkeypatch):
+    """A worker whose winner the model checker rejects aborts the race with
+    the same error, instead of reporting a failed attempt."""
+    monkeypatch.setattr(
+        stabilization, "check_solution", lambda *args, **kwargs: REJECTED
+    )
+    with pytest.raises(SoundnessError) as info:
+        synthesize_parallel(token_ring, (3, 3), n_workers=1)
+    assert info.value.check == REJECTED
     assert "verification failed" in str(info.value)
 
 
