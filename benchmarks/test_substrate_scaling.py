@@ -141,16 +141,24 @@ RANKS_COLUMNS = ["case", "ComputeRanks (s)", "partitions"]
 SYNTH_COLUMNS = ["case", "synthesis (s)", "peak live nodes", "ITE calls"]
 
 
+@pytest.fixture(scope="module")
+def smoke_tracer():
+    """One trace file for every parametrized smoke case, so the artifact
+    holds all of them rather than only the last case written."""
+    tracer = Tracer(TRACE_PATH, benchmark="substrate-smoke")
+    yield tracer
+    tracer.close()
+
+
 @pytest.mark.parametrize("name,k", [("coloring", 5), ("matching", 5)])
-def test_smoke_ranks_partitioned(name, k, figure_report):
+def test_smoke_ranks_partitioned(name, k, figure_report, smoke_tracer):
     figure_report.register(
         FIGURE_RANKS,
         columns=RANKS_COLUMNS,
         note="ComputeRanks = p_im relation build + backward BFS",
     )
-    with Tracer(TRACE_PATH, benchmark="substrate-smoke") as tracer:
-        elapsed, ranking, sp = _ranks_timed(name, k, tracer)
-        tracer.flush_counters()
+    elapsed, ranking, sp = _ranks_timed(name, k, smoke_tracer)
+    smoke_tracer.flush_counters()
     _check_ranks(name, k, ranking)
     assert len(sp.clusters) >= 1
     figure_report.add_row(

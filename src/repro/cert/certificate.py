@@ -265,11 +265,13 @@ class ConvergenceCertificate:
         ``cert.write``, matched against the file name) — the CI drill that
         proves a tampered artifact is rejected downstream.
         """
-        from ..faults.runtime import should_corrupt_cert
+        from ..faults.runtime import active_fault_plan, should_corrupt_cert
 
         path = os.fspath(path)
         payload = self.to_payload()
-        if should_corrupt_cert("cert.write", os.path.basename(path)):
+        if should_corrupt_cert(
+            "cert.write", os.path.basename(path), active_fault_plan()
+        ):
             payload = tamper_certificate_payload(payload)
         tmp = path + ".tmp"
         with open(tmp, "w") as handle:

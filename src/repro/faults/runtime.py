@@ -8,9 +8,12 @@ so every failure mode the fault-tolerant portfolio runtime guards against
 is reproducible in tests and CI instead of only observable in production.
 
 A :class:`FaultPlan` is a small, picklable record of what to break and
-where.  Hook points call :func:`fault_point` (worker start, heuristic pass
-boundaries) or the ``should_*`` predicates (cache writes, trace merging);
-with no plan installed every hook is a cheap no-op.
+where.  Worker and service hook points call :func:`fault_point` (worker
+start, heuristic pass boundaries) or the ``should_*`` predicates, which
+read the plan installed for their process; with no plan installed every
+hook is a cheap no-op.  The portfolio's parent-side hooks (cache writes,
+certificate stores, trace merging) take the race's own plan as an
+argument instead, so concurrent races never swap plans.
 
 Targets are matched with ``"<site>@<substring>"`` specs: the part before
 ``@`` names the hook site (``worker.start``, ``pass.1`` ...), the part
@@ -22,7 +25,8 @@ retry succeed, deterministically.
 
 Environment knob: ``REPRO_FAULT_PLAN`` holds a JSON object of
 :class:`FaultPlan` fields; :func:`repro.parallel.synthesize_parallel`
-auto-loads it, so CI can run fault drills without touching code.
+auto-loads it for its race and ``stsyn serve`` installs it at startup, so
+CI can run fault drills without touching code.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ class FaultPlan:
     #: worker faults fire only while ``attempt < max_fires``
     max_fires: int = 1
 
-    # -- network knobs (TCP transport; see repro.parallel.transport) -----
+    # -- network knobs (every worker slot; see repro.parallel.transport) -
     #: ``"<frame kind>@<config substring>"`` — silently discard matching
     #: outbound frames (``heartbeat``, ``result``, ``job``); one lost frame,
     #: exactly what a flaky switch does
@@ -180,22 +184,23 @@ def fault_point(site: str, **info) -> None:
             time.sleep(0.05)
 
 
-def should_corrupt_cache(config_description: str) -> bool:
-    """Parent-side hook: corrupt the cache entry just written for this config?"""
-    plan = _PLAN
+def should_corrupt_cache(
+    config_description: str, plan: FaultPlan | None
+) -> bool:
+    """Parent-side hook: corrupt the cache entry just written for this
+    config, per the race's ``plan``?"""
     return plan is not None and _spec_matches(
         plan.corrupt_cache_entry, "cache.put", config_description
     )
 
 
-def should_corrupt_cert(site: str, needle: str) -> bool:
+def should_corrupt_cert(site: str, needle: str, plan: FaultPlan | None) -> bool:
     """Parent-side hook: tamper the certificate being stored/written here?
 
     ``site`` is ``"cert.store"`` (certificate embedded in a cache record)
     or ``"cert.write"`` (certificate saved to its own file); ``needle`` is
     the config description / file name the spec is matched against.
     """
-    plan = _PLAN
     return plan is not None and _spec_matches(
         plan.corrupt_certificate, site, needle
     )
@@ -236,9 +241,9 @@ def should_drop_stream(job_description: str) -> bool:
     )
 
 
-def should_drop_trace(filename: str) -> bool:
-    """Parent-side hook: delete this worker trace before merging?"""
-    plan = _PLAN
+def should_drop_trace(filename: str, plan: FaultPlan | None) -> bool:
+    """Parent-side hook: delete this worker trace before merging, per the
+    race's ``plan``?"""
     return plan is not None and _spec_matches(
         plan.drop_trace_file, "trace.merge", filename
     )
@@ -267,7 +272,8 @@ def heal_partition() -> None:
     A real worker process dies with its partition, but in-process
     :class:`~repro.parallel.transport.WorkerServer` threads (tests, the
     chaos drill) share this module's state across drills — each one must
-    heal the network before the next begins.
+    heal the network before the next begins, and a local worker slot
+    forked from such a process heals at startup.
     """
     global _PARTITION_UNTIL
     _PARTITION_UNTIL = 0.0

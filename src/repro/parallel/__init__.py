@@ -14,25 +14,19 @@ from .precompute import (
 )
 from .scheduler import CancelToken, CostModel, order_portfolio
 from .storeio import StoreClaim, atomic_write_json, sweep_partials
-from .transport import (
-    LocalProcessTransport,
-    TcpTransport,
-    WorkerServer,
-    run_worker_server,
-)
+from .transport import WorkerServer, WorkerTransport, run_worker_server
 
 __all__ = [
     "CancelToken",
     "CostModel",
-    "LocalProcessTransport",
     "ParallelOutcome",
     "PortfolioPrecompute",
     "PrecomputeSpec",
     "SharedRankArray",
     "StoreClaim",
     "SynthesisCache",
-    "TcpTransport",
     "WorkerServer",
+    "WorkerTransport",
     "atomic_write_json",
     "config_key",
     "merge_worker_traces",

@@ -186,11 +186,14 @@ class SynthesisCache:
                 return None
         return outcome
 
-    def put(self, fingerprint: str, outcome) -> str | None:
+    def put(self, fingerprint: str, outcome, fault_plan=None) -> str | None:
         """Store one settled outcome; returns the file path (None when it is
         not stored: race-cancelled, read back from the store, a crash or
         deadline marker for a key that already has an entry, or another
-        writer holds the key's claim)."""
+        writer holds the key's claim).  ``fault_plan`` is the storing
+        race's :class:`~repro.faults.FaultPlan`, whose
+        ``corrupt_cache_entry`` and ``corrupt_certificate`` knobs fire
+        here."""
         if outcome.crashed:
             status = "crashed"
         elif outcome.cancelled:
@@ -208,7 +211,7 @@ class SynthesisCache:
         from ..faults.runtime import should_corrupt_cache, should_corrupt_cert
 
         if record["certificate"] is not None and should_corrupt_cert(
-            "cert.store", outcome.config.describe()
+            "cert.store", outcome.config.describe(), fault_plan
         ):
             # fault drill: store a subtly tampered certificate — the entry
             # parses fine, so only the certificate checker can catch it
@@ -235,7 +238,7 @@ class SynthesisCache:
         finally:
             self.claims.release(key)
 
-        if should_corrupt_cache(outcome.config.describe()):
+        if should_corrupt_cache(outcome.config.describe(), fault_plan):
             # fault drill: leave a torn half-written entry on disk
             payload = json.dumps(record)
             with open(path, "w") as handle:

@@ -12,11 +12,12 @@ module provides the three scheduling ingredients of the portfolio engine:
     default portfolio already leads with the paper's preferred schedule.
 
 :class:`CancelToken`
-    a cooperative cancellation handle combining the race-wide "a winner
-    verified" :class:`multiprocessing.Event` with a per-worker soft
-    deadline.  The heuristic polls ``is_set()`` at pass/rank boundaries, so
-    losers stop burning CPU long before ``pool.terminate`` lands, and a
-    config over budget yields its worker back to the queue.
+    a cooperative cancellation handle combining the event a worker sets
+    when a ``cancel`` frame arrives (a winner verified, or the race was
+    cancelled) with a per-job soft deadline.  The heuristic polls
+    ``is_set()`` at pass/rank boundaries, so losers stop burning CPU long
+    before the supervisor terminates them, and a config over budget yields
+    its worker back to the queue.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .storeio import atomic_write_json
 class CancelToken:
     """Duck-typed cancellation token for ``add_strong_convergence(cancel=...)``.
 
-    Fires when the shared ``event`` is set (a portfolio winner verified) or
+    Fires when ``event`` is set (the worker received a ``cancel`` frame) or
     when ``deadline`` (an absolute ``time.monotonic()`` instant) passes.
     """
 

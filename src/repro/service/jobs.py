@@ -227,8 +227,8 @@ class Job:
     cert_verified: bool = False
     winning_config: str | None = None
     error: str | None = None
-    #: multiprocessing.Event set by DELETE — polled by workers at
-    #: pass/rank boundaries (the PR-3 cooperative-cancellation path)
+    #: event set by DELETE — the race's supervisor turns it into ``cancel``
+    #: frames that workers poll at pass/rank boundaries
     cancel_event: object | None = None
     cancel_requested: bool = False
     #: the job's line-flushed JSONL tracer, open from submission until the

@@ -28,19 +28,19 @@ fleet.  The flow per job:
    job reaches ``done``/``failed``/``cancelled``.
 
 Cancellation (``DELETE /jobs/<id>``) removes a queued job outright; a
-running job has its per-job ``multiprocessing.Event`` set, which rides the
-same cooperative pass/rank-boundary polling the race's winner-found signal
-uses — workers stop at their next checkpoint, the race raises
-``PortfolioError`` (nothing survived) and the orchestrator maps that to
-``cancelled``.
+running job has its per-job ``threading.Event`` set.  The race's
+supervisor sees it on its next loop turn and sends every busy worker the
+same ``cancel`` frame a verified winner triggers — workers stop at their
+next pass/rank boundary, the race raises ``PortfolioError`` (nothing
+survived) and the orchestrator maps that to ``cancelled``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-import multiprocessing as mp
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -250,7 +250,7 @@ class Orchestrator:
                 return
 
             self.metrics.inc("service.synth_runs")
-            job.cancel_event = mp.Event()
+            job.cancel_event = threading.Event()
             race_dir = os.path.join(job.job_dir, "race")
             try:
                 # inside the try so a cancel that lands between the

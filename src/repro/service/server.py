@@ -326,8 +326,14 @@ def run_service(
     log=print,
     **kwargs,
 ) -> None:
-    """Blocking CLI entry point: serve until SIGINT/SIGTERM, then drain."""
+    """Blocking CLI entry point: serve until SIGINT/SIGTERM, then drain.
+
+    ``REPRO_FAULT_PLAN`` is installed once here, so the service's own
+    fault knobs (``reject_job``, ``slow_admit``, ``drop_stream``) fire.
+    """
     import signal
+
+    fault_runtime.install_fault_plan(fault_runtime.FaultPlan.from_env())
 
     async def _main() -> None:
         service = Service(data_dir, host=host, port=port, log=log, **kwargs)

@@ -344,6 +344,34 @@ class TestCacheHardening:
         assert warm.success and not warm.cached
         assert os.path.exists(path + ".corrupt")
 
+    def test_race_fault_plan_is_not_installed_process_wide(
+        self, tmp_path, monkeypatch
+    ):
+        """A race applies its own plan's parent-side faults and leaves the
+        process plan alone, so concurrent races never swap plans."""
+        process_plan = FaultPlan(corrupt_cache_entry="no-such-config")
+        race_plan = FaultPlan(corrupt_cache_entry="schedule=(1, 2, 3, 0)")
+        seen = []
+        original_put = SynthesisCache.put
+
+        def put(self, *args, **kwargs):
+            seen.append(fault_runtime.active_fault_plan())
+            return original_put(self, *args, **kwargs)
+
+        monkeypatch.setattr(SynthesisCache, "put", put)
+        fault_runtime.install_fault_plan(process_plan)
+        try:
+            winner, _ = self._cold_run(tmp_path, fault_plan=race_plan)
+            assert fault_runtime.active_fault_plan() is process_plan
+        finally:
+            fault_runtime.install_fault_plan(None)
+        assert winner.success
+        assert seen and all(plan is process_plan for plan in seen)
+        fp = protocol_fingerprint(*token_ring(4, 3))
+        path = os.path.join(tmp_path, config_key(fp, CFG_A) + ".json")
+        with open(path) as handle, pytest.raises(json.JSONDecodeError):
+            json.load(handle)
+
     def test_cached_winner_is_reverified(self, tmp_path):
         """A cache entry that parses but whose solution no longer verifies
         (bit rot, wrong file copied in) is quarantined and recomputed."""

@@ -349,10 +349,10 @@ class TestConcurrentRaces:
         must each fork workers on their own precompute.  Each race's first
         spawn waits at a barrier, so both races have built their
         precompute before either forks."""
-        from repro.parallel import LocalProcessTransport
+        from repro.parallel import WorkerTransport
 
         barrier = threading.Barrier(2, timeout=60)
-        original = LocalProcessTransport.spawn
+        original = WorkerTransport.spawn_local
         waited, lock = set(), threading.Lock()
 
         def spawn(self):
@@ -363,7 +363,7 @@ class TestConcurrentRaces:
                 barrier.wait()
             return original(self)
 
-        monkeypatch.setattr(LocalProcessTransport, "spawn", spawn)
+        monkeypatch.setattr(WorkerTransport, "spawn_local", spawn)
         pinned = {
             3: SynthesisConfig((0, 1, 2), HeuristicOptions()),
             4: SynthesisConfig((1, 2, 3, 0), HeuristicOptions()),

@@ -513,6 +513,39 @@ class TestServiceRobustness:
         finally:
             install_fault_plan(None)
 
+    def test_serve_cli_installs_env_fault_plan(self, tmp_path):
+        """`stsyn serve` loads REPRO_FAULT_PLAN for its own knobs at
+        startup: the reject_job drill answers 503 with no race running."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (
+                os.path.join(os.path.dirname(__file__), "..", "src"),
+                env.get("PYTHONPATH"),
+            ) if p
+        )
+        env["REPRO_FAULT_PLAN"] = json.dumps(
+            {"reject_job": "job.submit@default/"}
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+             "--data-dir", str(tmp_path)],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=env,
+        )
+        try:
+            match = re.search(
+                r"listening on [\d.]+:(\d+)", proc.stdout.readline()
+            )
+            assert match, "stsyn serve did not report its address"
+            status, body = request_json(
+                int(match.group(1)), "POST", "/jobs", QUICK_JOB
+            )
+            assert status == 503
+            assert "fault drill" in body["error"]
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            proc.communicate(timeout=30)
+
     def test_drop_stream_fault_truncates_chunked_body(self, tmp_path):
         with ServiceHandle(tmp_path) as handle:
             _s, payload = request_json(handle.port, "POST", "/jobs", QUICK_JOB)

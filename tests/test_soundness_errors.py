@@ -51,3 +51,29 @@ def test_scc_member_without_intra_scc_successor(monkeypatch):
         extract_cycle(protocol, np.array([state]), invariant)
     assert info.value.state == state
     assert protocol.space.format_state(state) in str(info.value)
+
+
+def test_rejected_remote_winner_keeps_its_solution_check(monkeypatch):
+    """The error frame carries the exception's keyword fields: a winner
+    rejected on a remote worker re-raises with its SolutionCheck, exactly
+    as it does on a local slot."""
+    import threading
+
+    from repro.parallel import WorkerServer
+
+    monkeypatch.setattr(
+        stabilization, "check_solution", lambda *args, **kwargs: REJECTED
+    )
+    server = WorkerServer("127.0.0.1", 0)
+    host, port = server.start()
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        with pytest.raises(SoundnessError) as info:
+            synthesize_parallel(
+                token_ring, (3, 3), worker_endpoints=[f"{host}:{port}"],
+                lease_timeout=8.0,
+            )
+    finally:
+        server.shutdown()
+    assert info.value.check == REJECTED
+    assert "verification failed" in str(info.value)
