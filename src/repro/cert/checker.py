@@ -18,8 +18,8 @@ Trust argument (why accepting a certificate is sound):
 
 Together these are the premises of the paper's Theorems IV.1/V.1; nothing
 else about the synthesis run needs to be believed.  Cost is one vectorised
-pass over the transitions leaving ranked states — orders of magnitude
-cheaper than ``check_solution``'s set-based re-verification (see
+pass over the transitions — on the TR² winner 7.5–8× cheaper than
+``check_solution``'s re-verification, payload decode included (see
 ``benchmarks/test_cert_speedup.py``).
 
 Every rejection raises :class:`CertificateViolation` carrying a structured
@@ -219,8 +219,9 @@ def check_certificate(
 
     # δpss|I = δp|I — the delta may only touch states outside I.  Group
     # sources depend only on the rcode, so each distinct (process, rcode)
-    # of the delta is gathered once; only on a hit does the (rare) slow
-    # path walk the delta in order to attribute a concrete group.
+    # of the delta is read once off the cylinder rows of I; only on a hit
+    # does the (rare) slow path walk the delta in order to attribute a
+    # concrete group.
     delta_rcodes: dict[int, set[int]] = {}
     for gid in cert.added + cert.removed:
         delta_rcodes.setdefault(gid[0], set()).add(gid[1])
@@ -228,10 +229,8 @@ def check_certificate(
     for j, rset in delta_rcodes.items():
         table = original.tables[j]
         rs = np.fromiter(rset, dtype=np.int64)
-        src = table.bases[rs][:, None] + table.unread_offsets
-        hit = inside[src]
-        if hit.any():
-            flagged.update((j, int(rs[row])) for row in np.flatnonzero(hit.any(axis=1)))
+        hit = table.cylinder_rows(inside)[table.cylinder_row[rs]].any(axis=1)
+        flagged.update((j, int(r)) for r in rs[hit])
     if flagged:
         for gid in cert.added + cert.removed:
             if (gid[0], gid[1]) in flagged:
@@ -270,84 +269,45 @@ def check_certificate(
             state=s,
         )
 
-    # one batched (groups x group_size) gather per process — a row-major
-    # scan of these matrices visits transitions in exactly the order a
-    # per-group loop would, so counterexamples are identical.  rank_zero
-    # above established rank == 0 ⟺ I, so membership in I is read off the
-    # rank gathers instead of two extra fancy-indexing passes.
+    # A group maps the cylinder of its rcode onto the cylinder of its target
+    # rcode, unread valuations aligned: so each process lays the ranks out
+    # one row per cylinder (in the narrowest dtype that holds them, which
+    # makes the copies and comparisons cheaper) and compares the rows of
+    # each group's source and target cylinders.  The (groups x group_size)
+    # matrices are scanned row-major: transitions in the order a per-group
+    # loop visits them, so counterexamples are the same.  rank_zero above
+    # established rank == 0 ⟺ I, so membership in I is read off the ranks.
+    strong = cert.mode == "strong"
+    narrow = rank.astype(np.min_scalar_type(int(rank.max(initial=0))))
+    # strong: the states some group leaves; weak: the states with a
+    # rank-decreasing successor — every ranked state must be one
+    covered = np.zeros(space.tensor_shape, dtype=np.uint8)
     n_edges = 0
-    ranked = rank > 0
-    if cert.mode == "strong":
-        has_out = np.zeros(space.size, dtype=bool)
-        for j, gs in enumerate(groups):
-            if not gs:
-                continue
-            gids = list(gs)
-            src, dst = original.tables[j].pairs_many(
-                [g[0] for g in gids], [g[1] for g in gids]
-            )
-            n_edges += src.size
-            rank_src = rank[src]
-            rank_dst = rank[dst]
-            # one mask covers closure and well-foundedness: rank_src == 0
-            # ⟺ src ∈ I, where a bad edge is one into ¬I (rank_dst != 0);
-            # from a ranked source a bad edge is any with rank_dst >=
-            # rank_src (which implies rank_dst != 0) — so the conjunction
-            # below is exact for both, and the kind is read off rank_src
-            bad = (rank_dst >= rank_src) & (rank_dst != 0)
-            if bad.any():
-                row, col = np.unravel_index(int(np.argmax(bad)), bad.shape)
-                gid = (j, *gids[row])
-                s, t = int(src[row, col]), int(dst[row, col])
-                if rank[s] == 0:
-                    raise CertificateViolation(
-                        "closure",
-                        f"transition of group {gid} leaves I: "
-                        f"{space.format_state(s)} -> {space.format_state(t)}",
-                        transition=(s, t),
-                        group=gid,
-                    )
-                raise CertificateViolation(
-                    "well_foundedness",
-                    f"transition of group {gid} does not decrease rank: "
-                    f"{space.format_state(s)} (rank {int(rank[s])}) -> "
-                    f"{space.format_state(t)} (rank {int(rank[t])})",
-                    transition=(s, t),
-                    group=gid,
-                )
-            # sources depend only on the rcode, so the deadlock scatter
-            # needs each distinct rcode once, not each group
-            table = original.tables[j]
-            rs = np.fromiter({g[0] for g in gids}, dtype=np.int64)
-            out_src = table.bases[rs][:, None] + table.unread_offsets
-            has_out[out_src.ravel()] = True
-        stuck = ranked & ~has_out
-        if stuck.any():
-            s = int(np.flatnonzero(stuck)[0])
-            raise CertificateViolation(
-                "deadlock",
-                f"ranked state {space.format_state(s)} has no outgoing "
-                f"pss transition",
-                state=s,
-            )
-    else:  # weak
-        decreases = np.zeros(space.size, dtype=bool)
-        for j, gs in enumerate(groups):
-            if not gs:
-                continue
-            gids = list(gs)
-            src, dst = original.tables[j].pairs_many(
-                [g[0] for g in gids], [g[1] for g in gids]
-            )
-            n_edges += src.size
-            rank_src = rank[src]
-            rank_dst = rank[dst]
-            src_inside = rank_src == 0
-            esc = src_inside & (rank_dst != 0)
-            if esc.any():
-                row, col = np.unravel_index(int(np.argmax(esc)), esc.shape)
-                gid = (j, *gids[row])
-                s, t = int(src[row, col]), int(dst[row, col])
+    for j, gs in enumerate(groups):
+        if not gs:
+            continue
+        table = original.tables[j]
+        gids = list(gs)
+        rcodes = np.array([g[0] for g in gids], dtype=np.int64)
+        wcodes = np.array([g[1] for g in gids], dtype=np.int64)
+        src_rows = table.cylinder_row[rcodes]
+        rows = table.cylinder_rows(narrow)
+        rank_src = rows[src_rows]
+        rank_dst = rows[table.cylinder_row[table.target_rcodes(rcodes, wcodes)]]
+        n_edges += rank_src.size
+        # from a source in I (rank 0) a bad edge enters ¬I (rank_dst >= 1);
+        # in strong mode so is one from a ranked source that does not
+        # decrease (rank_dst >= rank_src); the kind is read off the source
+        if strong:
+            bad = rank_dst >= np.maximum(rank_src, 1)
+        else:
+            bad = (rank_src == 0) & (rank_dst != 0)
+        if bad.any():
+            row, col = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            gid = (j, *gids[row])
+            s = int(table.bases[gid[1]] + table.unread_offsets[col])
+            t = s + int(table.deltas[gid[1], gid[2]])
+            if rank[s] == 0:
                 raise CertificateViolation(
                     "closure",
                     f"transition of group {gid} leaves I: "
@@ -355,18 +315,44 @@ def check_certificate(
                     transition=(s, t),
                     group=gid,
                 )
-            down = ~src_inside & (rank_dst < rank_src)
-            if down.any():
-                decreases[src[down]] = True
-        stuck = ranked & ~decreases
-        if stuck.any():
-            s = int(np.flatnonzero(stuck)[0])
             raise CertificateViolation(
                 "well_foundedness",
-                f"ranked state {space.format_state(s)} (rank {int(rank[s])}) "
-                f"has no rank-decreasing successor",
+                f"transition of group {gid} does not decrease rank: "
+                f"{space.format_state(s)} (rank {int(rank[s])}) -> "
+                f"{space.format_state(t)} (rank {int(rank[t])})",
+                transition=(s, t),
+                group=gid,
+            )
+        # OR j's part into ``covered`` on the transposed state tensor, as
+        # TensorPreImage does: its groups' source cylinders (strong), or
+        # the sources of its decreasing transitions (weak)
+        view = covered.transpose(table.axis_order)
+        if strong:
+            has_group = np.zeros(table.n_rvals, dtype=np.uint8)
+            has_group[rcodes] = 1
+            part = table.rcode_tensor(has_group)
+        else:
+            part = np.zeros(rows.shape, dtype=np.uint8)
+            np.bitwise_or.at(part, src_rows, rank_dst < rank_src)
+            part = part.reshape(view.shape)
+        np.bitwise_or(view, part, out=view)
+    ranked = rank > 0
+    stuck = ranked & ~covered.reshape(-1).view(bool)
+    if stuck.any():
+        s = int(np.flatnonzero(stuck)[0])
+        if strong:
+            raise CertificateViolation(
+                "deadlock",
+                f"ranked state {space.format_state(s)} has no outgoing "
+                f"pss transition",
                 state=s,
             )
+        raise CertificateViolation(
+            "well_foundedness",
+            f"ranked state {space.format_state(s)} (rank {int(rank[s])}) "
+            f"has no rank-decreasing successor",
+            state=s,
+        )
 
     return CertificateCheck(
         mode=cert.mode,

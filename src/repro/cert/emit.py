@@ -15,12 +15,13 @@ local property the checker re-verifies.  Weak mode uses the shortest-path
 (BFS) rank of ``pss`` itself: every ranked state keeps at least one
 decreasing successor.
 
-The explicit emitter computes the longest-path rank with one
-reverse-topological (Kahn) peel over flat edge arrays, O(E): peel off the
-states whose successors have all been ranked, level by level.  The
-symbolic emitter peels the same levels by backward induction on BDDs, so
-an explicit-emitted and a symbolic-emitted certificate for the same ``pss``
-decode to identical dense rank arrays — the cross-engine tests assert this.
+Both emitters peel the longest-path levels by backward induction: a level
+is the set of unranked states none of whose successors is still unranked.
+The explicit emitter takes each level's pre-image on the state tensor
+(:class:`~repro.explicit.graph.TensorPreImage`, no edge list), the
+symbolic one on BDDs, so an explicit-emitted and a symbolic-emitted
+certificate for the same ``pss`` decode to identical dense rank arrays —
+the cross-engine tests assert this.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from itertools import product
 
 import numpy as np
 
-from ..explicit.graph import TensorPreImage, TransitionView
+from ..explicit.graph import TensorPreImage
 from ..parallel.cache import protocol_fingerprint
 from ..protocol.predicate import Predicate
 from ..protocol.protocol import Protocol
@@ -51,51 +52,35 @@ class CertificateEmissionError(CertificateError):
 def longest_path_ranks(pss: Protocol, invariant: Predicate) -> np.ndarray:
     """Longest-path rank of every state over ``δpss`` sources outside ``I``.
 
-    ``rank(s) = 1 + max rank(successors)`` with ``rank|I = 0``, computed by
-    one reverse-topological (Kahn) peel in O(E): the states without a
-    successor outside the dropped ``I``-sourced edges form layer 0, and a
-    state joins layer ``k + 1`` once its last successor is peeled in layer
-    ``k``.  Raises :class:`CertificateEmissionError` on a cycle (states left
-    unpeeled) or a deadlock (a state outside ``I`` with no outgoing
-    transition).
+    ``rank(s) = 1 + max rank(successors)`` with ``rank|I = 0``, peeled level
+    by level with tensor pre-images (:class:`TensorPreImage`): level
+    ``k + 1`` is the set of unranked enabled states outside ``I`` with no
+    successor still unranked, ``remaining & ~pre(remaining)``.  Deadlocked
+    states outside ``I`` are never unranked, so they settle their
+    predecessors like ``I`` does.  Raises :class:`CertificateEmissionError`
+    on a cycle (a level comes out empty with states left) or, after the
+    peel, on a deadlock (a state outside ``I`` with no outgoing transition).
     """
-    size = pss.space.size
     inside = invariant.mask
-    src, dst = TransitionView.of_protocol(pss).edge_arrays()
-    keep = ~inside[src]
-    src, dst = src[keep], dst[keep]
-
-    # unpeeled successors per state (edges counted with multiplicity), and
-    # the predecessor lists grouped by target: those of t are
-    # preds[ptr[t]:ptr[t + 1]]
-    waiting = np.bincount(src, minlength=size)
-    preds = src[np.argsort(dst, kind="stable")]
-    ptr = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(dst, minlength=size), out=ptr[1:])
-
-    rank = np.zeros(size, dtype=np.int32)
-    layer = np.flatnonzero(waiting == 0)
+    pre = TensorPreImage(pss.space, pss.tables, pss.groups)
+    enabled = pre(np.ones(pss.space.size, dtype=bool))
+    remaining = enabled & ~inside
+    rank = np.zeros(pss.space.size, dtype=np.int32)
     level = 0
-    while len(layer):
-        starts = ptr[layer]
-        counts = ptr[layer + 1] - starts
-        ends = np.cumsum(counts)
-        edge = np.repeat(starts - ends + counts, counts) + np.arange(ends[-1])
-        cand, hits = np.unique(preds[edge], return_counts=True)
-        waiting[cand] -= hits
-        layer = cand[waiting[cand] == 0]
+    while remaining.any():
+        layer = remaining & ~pre(remaining)
+        if not layer.any():
+            s = int(np.argmax(remaining))
+            raise CertificateEmissionError(
+                f"pss has a non-progress cycle outside I reachable from "
+                f"{pss.space.format_state(s)}; no strong ranking exists"
+            )
         level += 1
         rank[layer] = level
-    unpeeled = waiting > 0
-    if unpeeled.any():
-        s = int(np.flatnonzero(unpeeled)[0])
-        raise CertificateEmissionError(
-            f"pss has a non-progress cycle outside I through "
-            f"{pss.space.format_state(s)}; no strong ranking exists"
-        )
-    stuck = ~inside & (rank == 0)
+        remaining &= ~layer
+    stuck = ~inside & ~enabled
     if stuck.any():
-        s = int(np.flatnonzero(stuck)[0])
+        s = int(np.argmax(stuck))
         raise CertificateEmissionError(
             f"pss deadlocks outside I at {pss.space.format_state(s)}; "
             f"no strong ranking exists"

@@ -41,15 +41,18 @@ class UnresolvableCycleError(SynthesisError):
 class SoundnessError(SynthesisError):
     """An internal consistency check failed: a bug, never an answer.
 
-    Raised when the independent model checker rejects a winner the
-    heuristic claimed (``check`` holds the
-    :class:`~repro.verify.SolutionCheck`), or when a state reported inside
-    a cyclic SCC has no successor in that SCC (``state`` holds it).
+    Raised when a winner the heuristic claimed has no strong certificate,
+    or its certificate fails the independent checker (``violation`` holds
+    the :class:`~repro.cert.CertificateViolation`, with its kind and
+    counterexample), and when a state reported inside a cyclic SCC has no
+    successor in that SCC (``state`` holds it).  Winners are checked by
+    their certificate; ``check_solution`` re-verifies only ``stsyn
+    verify`` inputs, weak results and certificate-less stored outcomes.
     """
 
-    def __init__(self, message: str, *, check=None, state: int | None = None):
+    def __init__(self, message: str, *, violation=None, state: int | None = None):
         super().__init__(message)
-        self.check = check
+        self.violation = violation
         self.state = state
 
 

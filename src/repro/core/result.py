@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from ..metrics.stats import SynthesisStats
 from ..protocol.predicate import Predicate
 from ..protocol.protocol import Protocol
 from .ranking import RankingResult
+
+if TYPE_CHECKING:
+    from ..cert.certificate import ConvergenceCertificate
 
 
 @dataclass
@@ -15,8 +19,9 @@ class SynthesisResult:
     """Outcome of one strong-convergence heuristic run (one schedule).
 
     ``success`` implies the returned ``protocol`` is correct by construction;
-    the synthesizer additionally re-verifies it with the independent model
-    checker unless asked not to.
+    the synthesizer (:func:`~repro.core.synthesizer.check_winner`) also
+    emits its strong certificate and has the independent certificate checker
+    accept it before reporting it, then keeps that certificate here.
     """
 
     success: bool
@@ -36,6 +41,9 @@ class SynthesisResult:
     verified: bool = False
     #: the unmodified input protocol — what a certificate is checked against
     input_protocol: Protocol | None = None
+    #: the strong certificate ``check_winner`` emitted and checked;
+    #: :meth:`certificate` returns it instead of emitting again
+    checked_certificate: "ConvergenceCertificate | None" = None
 
     @property
     def n_added(self) -> int:
@@ -60,15 +68,18 @@ class SynthesisResult:
         ]
 
     def certificate(self):
-        """Emit the :class:`~repro.cert.ConvergenceCertificate` of this run.
+        """The :class:`~repro.cert.ConvergenceCertificate` of this run.
 
         Only available on success.  The witness is the longest-path ranking
         over the synthesized ``pss`` (not the BFS rank — pass 3 may add
-        transitions that climb in BFS rank), computed here lazily so
-        callers that never persist the result pay nothing.
+        transitions that climb in BFS rank).  A winner of ``synthesize`` or
+        of a portfolio worker returns the certificate its winner check
+        kept; a bare heuristic result emits one here.
         """
         from ..cert.emit import CertificateEmissionError, emit_certificate
 
+        if self.checked_certificate is not None:
+            return self.checked_certificate
         if not self.success:
             raise CertificateEmissionError(
                 "cannot certify an unsuccessful synthesis result"

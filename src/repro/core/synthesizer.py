@@ -91,23 +91,45 @@ def check_winner(
     config: SynthesisConfig,
     tracer: Tracer | NullTracer,
 ) -> None:
-    """Re-check a claimed success with the independent model checker
-    (:func:`repro.verify.check_solution`).
+    """Certify a claimed success: emit its strong certificate and have the
+    independent checker (:func:`repro.cert.check_certificate`) accept it.
 
-    A rejection is a bug in the heuristic, never a failed attempt: it
-    raises :class:`SoundnessError` in the sequential portfolio and in every
+    The certificate's longest-path rank is the one proof that ``δpss|¬I``
+    is acyclic and deadlock-free; the checker re-checks it per transition,
+    pinned to the winner's groups.  The result keeps the certificate, so
+    :meth:`SynthesisResult.certificate` returns it without emitting again.
+
+    A winner without a strong ranking, or whose certificate the checker
+    rejects, is a bug in the heuristic, never a failed attempt: it raises
+    :class:`SoundnessError` in the sequential portfolio and in every
     parallel worker alike.
     """
-    from ..verify.stabilization import check_solution
+    from ..cert import (
+        CertificateEmissionError,
+        CertificateViolation,
+        check_certificate,
+    )
 
-    with tracer.span("verify.check_solution"):
-        check = check_solution(protocol, result.protocol, invariant)
-    if not check.ok:
+    try:
+        with tracer.span("cert.emit"):
+            cert = result.certificate()
+    except CertificateEmissionError as exc:
         raise SoundnessError(
-            f"heuristic claimed success but verification failed: "
-            f"{check} under {config.describe()}",
-            check=check,
-        )
+            f"heuristic claimed success but {exc} under {config.describe()}"
+        ) from exc
+    tracer.count("cert.emitted")
+    try:
+        with tracer.span("cert.check"):
+            check_certificate(
+                protocol, invariant, cert, expected_pss=result.protocol.groups
+            )
+    except CertificateViolation as violation:
+        raise SoundnessError(
+            f"heuristic claimed success but its certificate was rejected: "
+            f"[{violation.kind}] {violation} under {config.describe()}",
+            violation=violation,
+        ) from violation
+    result.checked_certificate = cert
     result.verified = True
 
 
@@ -122,10 +144,11 @@ def synthesize(
 ) -> PortfolioResult:
     """Run heuristic instances until one produces a verified solution.
 
-    Every claimed success is re-checked by :func:`check_winner` — "correct
-    by construction" is nice, "correct by construction *and* checked" is
-    nicer.  The failure result returned when the whole portfolio fails is
-    the attempt with the fewest remaining deadlock states.  A ``tracer`` profiles every attempt
+    Every claimed success is certified and re-checked by
+    :func:`check_winner` — "correct by construction" is nice, "correct by
+    construction *and* checked" is nicer.  The failure result returned
+    when the whole portfolio fails is the attempt with the fewest
+    remaining deadlock states.  A ``tracer`` profiles every attempt
     (one ``portfolio.attempt`` span each, with the per-pass spans nested
     under the attempt's stats).
 

@@ -130,9 +130,10 @@ class ParallelOutcome:
     retries: int = 0
     #: True when the outcome was replayed from the store by ``resume=True``
     resumed: bool = False
-    #: JSON payload of the worker's :class:`ConvergenceCertificate` (None
-    #: when the run failed or emission was unavailable); lets the parent —
-    #: and later store readers — re-establish trust in the recorded
+    #: JSON payload of the :class:`ConvergenceCertificate` the worker's
+    #: winner check emitted and accepted (None when the run failed, and on
+    #: records stored before certificates existed); lets the parent — and
+    #: later store readers — re-establish trust in the recorded
     #: ``pss_groups`` without re-running ``check_solution``
     certificate: dict | None = None
 
@@ -153,7 +154,6 @@ def _worker(
     ``cancel_event`` is set by the worker's connection loop when a
     ``cancel`` frame arrives.
     """
-    from ..cert import CertificateError
     from ..core.exceptions import SynthesisCancelled
     from ..core.heuristic import add_strong_convergence
 
@@ -211,16 +211,7 @@ def _worker(
         certificate = None
         if success:
             check_winner(protocol, invariant, result, config, tracer)
-            # A failed emission is not a failed synthesis: the outcome simply
-            # ships without a certificate and trust paths fall back to the
-            # full (slower) check_solution re-verification.
-            with tracer.span("cert.emit"):
-                try:
-                    certificate = result.certificate().to_payload()
-                except CertificateError as exc:
-                    tracer.event("cert.emit_failed", error=str(exc))
-                else:
-                    tracer.count("cert.emitted")
+            certificate = result.certificate().to_payload()
         tracer.event("worker.done", success=success)
         return ParallelOutcome(
             config=config,
@@ -883,7 +874,7 @@ def synthesize_parallel(
     entries, so a sweep killed by SIGKILL restarts where it stopped.  A
     stored, resumed or late-arriving winner is trusted only through
     :func:`repro.cert.trust_outcome`: its convergence certificate is
-    re-checked — orders of magnitude cheaper than re-running
+    re-checked — several times cheaper than re-running
     ``check_solution`` — and certificate-less records fall back to the full
     ``check_solution``.  ``paranoid=True`` forces the full re-check even
     when a certificate is present.  Stored records that fail are

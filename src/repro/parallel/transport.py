@@ -234,7 +234,7 @@ def resolve_builder(ref: dict) -> tuple[Callable, tuple]:
 
 #: keyword fields of the typed synthesis exceptions, carried in error frames
 _ERROR_FIELDS = (
-    "check",
+    "violation",
     "state",
     "transition",
     "n_unreachable",
@@ -244,31 +244,51 @@ _ERROR_FIELDS = (
 
 
 def _json_default(value):
-    if dataclasses.is_dataclass(value):
-        return dataclasses.asdict(value)
     if hasattr(value, "item"):  # numpy scalar
         return value.item()
     raise TypeError(f"{type(value).__name__} is not JSON-serialisable")
 
 
-def _decode_field(name: str, value):
-    if name == "check":
-        from ..verify.stabilization import SolutionCheck
+def _encode_field(name: str, value):
+    if name == "violation":  # its kind, message and counterexample
+        return {
+            "kind": value.kind,
+            "message": str(value),
+            "transition": value.transition,
+            "group": value.group,
+            "state": value.state,
+        }
+    return value
 
-        return SolutionCheck(**value)
+
+def _decode_field(name: str, value):
+    if name == "violation":
+        # local import: repro.cert imports repro.parallel.cache
+        from ..cert import CertificateViolation
+
+        fields = {
+            key: tuple(item) if isinstance(item, list) else item
+            for key, item in value.items()
+        }
+        return CertificateViolation(
+            fields.pop("kind"), fields.pop("message"), **fields
+        )
     return tuple(value) if name == "transition" else value
 
 
 def error_frame(lease_id: str, exc: BaseException) -> dict:
     """Wire record of a worker-side exception: type name, message and the
-    keyword fields of the typed synthesis exceptions (``check`` travels as
-    the :class:`~repro.verify.SolutionCheck`'s fields)."""
+    keyword fields of the typed synthesis exceptions (``violation`` travels
+    as the :class:`~repro.cert.CertificateViolation`'s kind, message and
+    counterexample)."""
     fields = {}
     for name in _ERROR_FIELDS:
         value = getattr(exc, name, None)
         if value is not None:
             try:
-                fields[name] = json.loads(json.dumps(value, default=_json_default))
+                fields[name] = json.loads(
+                    json.dumps(_encode_field(name, value), default=_json_default)
+                )
             except (TypeError, ValueError):
                 pass  # an unserialisable field stays behind
     return {

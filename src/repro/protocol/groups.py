@@ -106,6 +106,7 @@ class ProcessGroupTable:
         # computed lazily so that symbolic-only runs over astronomically
         # large spaces (e.g. 3^40 coloring) never materialise it.
         self._unread_offsets: np.ndarray | None = None
+        self._cylinder_row: np.ndarray | None = None
 
         # wnew_contrib[wcode]: state-index contribution of the new written values.
         wnew = np.zeros(self.n_wvals, dtype=STATE_DTYPE)
@@ -224,21 +225,23 @@ class ProcessGroupTable:
         src = self.sources(rcode)
         return src, src + self.deltas[rcode, wcode]
 
-    def pairs_many(
+    def target_rcodes(
         self, rcodes: Sequence[int], wcodes: Sequence[int]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(src, dst)`` matrices for many groups at once.
+    ) -> np.ndarray:
+        """rcode of the targets of the groups ``(rcodes[g], wcodes[g])``.
 
-        Row ``g`` holds the transitions of group ``(rcodes[g], wcodes[g])``
-        in the same (ascending-source) order :meth:`pairs` yields them, so
-        a row-major scan visits transitions exactly as a per-group loop
-        over :meth:`pairs` would — one fancy-indexing pass instead of one
-        python iteration per group.
+        It is the source rcode with the written digits set to the wcode: a
+        group maps the cylinder of its rcode onto the cylinder of its target
+        rcode, the unread valuations in the same order.
         """
         r = np.asarray(rcodes, dtype=STATE_DTYPE)
         w = np.asarray(wcodes, dtype=STATE_DTYPE)
-        src = self.bases[r][:, None] + self.unread_offsets[None, :]
-        return src, src + self.deltas[r, w][:, None]
+        out = r.copy()
+        for wpos, v in enumerate(self.write_vars):
+            rpos = self.read_vars.index(v)
+            step = self._wcode_digit(w, wpos) - self._rcode_digit(r, rpos)
+            out += step * self.r_strides[rpos]
+        return out
 
     # ------------------------------------------------------------------
     # the state tensor: rcode-indexed arrays on the read axes
@@ -260,6 +263,30 @@ class ProcessGroupTable:
         return out.reshape(
             out.shape[: len(digits)] + (1,) * len(self.unread_axes) + tail
         )
+
+    def cylinder_rows(self, values: np.ndarray) -> np.ndarray:
+        """A per-state array as one row per readable valuation.
+
+        Row ``cylinder_row[rcode]`` of the ``(n_rvals, group_size)`` result
+        holds ``values[sources(rcode)]``.  It is one strided copy of the
+        state tensor transposed by :attr:`axis_order`, cheaper than
+        gathering the cylinders by index.
+        """
+        tensor = values.reshape(self.space.tensor_shape)
+        return tensor.transpose(self.axis_order).reshape(
+            self.n_rvals, self.group_size
+        )
+
+    @property
+    def cylinder_row(self) -> np.ndarray:
+        """``cylinder_row[rcode]`` — the row of rcode's cylinder in
+        :meth:`cylinder_rows`."""
+        if self._cylinder_row is None:
+            order = self.rcode_tensor(np.arange(self.n_rvals)).reshape(-1)
+            row = np.empty(self.n_rvals, dtype=np.int64)
+            row[order] = np.arange(self.n_rvals)
+            self._cylinder_row = row
+        return self._cylinder_row
 
     def tensor_rcodes(self, tensor: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`rcode_tensor` for a tensor over the read axes

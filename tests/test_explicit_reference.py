@@ -9,14 +9,19 @@ implementations in ``reference_graph.py``.
   bases, parallel edges in unsorted order, call sequences that cross the
   CSR rebuild boundary, and the single-candidate calls of the
   ``sequential`` and ``hybrid`` modes;
-* Kahn-peel ``longest_path_ranks`` vs. the ``np.maximum.at`` fixpoint: equal
-  ranks, and a :class:`CertificateEmissionError` from both on exactly the
-  inputs that do not strongly converge;
+* the tensor-peel ``longest_path_ranks`` vs. the ``np.maximum.at``
+  fixpoint: equal ranks (also on the deep token-ring-6-5 and two-ring
+  winners), and a :class:`CertificateEmissionError` from both on exactly
+  the inputs that do not strongly converge, with the cycle reported before
+  a deadlock;
 * the tensor pre-images of ``compute_ranks`` and ``shortest_path_ranks`` vs.
   the edge-list BFS, and ``rvals_intersecting`` vs. the cylinder gather: on
   the four ``paper-explicit`` cases, seeded fuzz instances, random
   protocols and hand-built ones with unsorted read and write lists, a
-  domain-1 variable, an empty ``p_im`` set and rank-∞ states.
+  domain-1 variable, an empty ``p_im`` set and rank-∞ states;
+* the cylinder layout the certificate checker reads ranks in
+  (``cylinder_rows``, ``target_rcodes``) vs. ``sources`` and ``pairs``,
+  on the built-in and the hand-built protocols.
 """
 
 import importlib
@@ -34,7 +39,7 @@ from repro.cert import (
     longest_path_ranks,
     shortest_path_ranks,
 )
-from repro.core import HeuristicOptions, add_strong_convergence
+from repro.core import HeuristicOptions, add_strong_convergence, synthesize
 from repro.core.exceptions import SynthesisError
 from repro.core.ranking import INF_RANK, compute_ranks, rvals_intersecting
 from repro.explicit.graph import (
@@ -353,7 +358,7 @@ def _assert_ranks_agree(protocol, invariant):
 
 @given(seeds)
 @relaxed
-def test_kahn_ranks_match_fixpoint(seed):
+def test_longest_path_ranks_match_fixpoint(seed):
     rng = random.Random(seed)
     protocol = make_random_protocol(rng, group_density=rng.choice([0.05, 0.2]))
     invariant = make_closed_invariant(rng, protocol)
@@ -371,12 +376,66 @@ def test_kahn_ranks_match_fixpoint(seed):
 @pytest.mark.parametrize(
     "build", [lambda: token_ring(4, 3), lambda: matching(6)], ids=["tr", "matching"]
 )
-def test_kahn_ranks_match_fixpoint_on_case_studies(build):
+def test_longest_path_ranks_match_fixpoint_on_case_studies(build):
     protocol, invariant = build()
     assert not _assert_ranks_agree(protocol, invariant)
     result = add_strong_convergence(protocol, invariant)
     assert result.success
     assert _assert_ranks_agree(result.protocol, invariant)
+
+
+@pytest.mark.parametrize(
+    "build, depth",
+    [(lambda: token_ring(6, 5), 104), (two_ring, 58)],
+    ids=["token-ring-6-5", "two-ring"],
+)
+def test_longest_path_ranks_match_fixpoint_on_deep_winners(build, depth):
+    """The paper-explicit winners with the most levels: one tensor image
+    per level, 104 and 58 of them."""
+    protocol, invariant = build()
+    pss = synthesize(protocol, invariant).result.protocol
+    assert _assert_ranks_agree(pss, invariant)
+    assert int(longest_path_ranks(pss, invariant).max()) == depth
+
+
+def _one_variable_protocol(domain, groups):
+    """One process reading and writing ``x`` over ``domain`` values, with
+    the given ``(x, x')`` groups, and I = {x = 0}."""
+    space = StateSpace([Variable("x", domain)])
+    spec = ProcessSpec("P0", (0,), (0,))
+    return _protocol(space, [spec], [set(groups)], space.var_array(0) == 0)
+
+
+@pytest.mark.parametrize(
+    "domain, groups, message",
+    [
+        # 1 -> 2 -> 1: a non-progress cycle outside I
+        (3, [(1, 2), (2, 1), (1, 0)], "non-progress cycle"),
+        # 2 -> 1 and x = 1 has no move: a deadlock outside I
+        (3, [(2, 1)], "deadlocks outside I"),
+        # both (x = 3 has no move): the cycle is reported first, as by
+        # the fixpoint
+        (4, [(1, 2), (2, 1)], "non-progress cycle"),
+        (4, [(1, 2), (2, 1), (2, 3)], "non-progress cycle"),
+    ],
+    ids=["cycle", "deadlock", "cycle-and-deadlock", "cycle-into-deadlock"],
+)
+def test_longest_path_ranks_refuse_hand_built_non_converging(
+    domain, groups, message
+):
+    protocol, invariant = _one_variable_protocol(domain, groups)
+    assert not _assert_ranks_agree(protocol, invariant)
+    with pytest.raises(CertificateEmissionError, match=message):
+        longest_path_ranks(protocol, invariant)
+
+
+def test_longest_path_ranks_on_hand_built_chain():
+    # 3 -> 2 -> 1 -> 0 plus the shortcut 3 -> 1: the longest path counts
+    protocol, invariant = _one_variable_protocol(
+        4, [(1, 0), (2, 1), (3, 2), (3, 1)]
+    )
+    assert _assert_ranks_agree(protocol, invariant)
+    assert longest_path_ranks(protocol, invariant).tolist() == [0, 1, 2, 3]
 
 
 # ----------------------------------------------------------------------
@@ -501,6 +560,7 @@ def test_tensor_ranks_with_unsorted_read_and_write_lists(seed):
     mask[rng.randrange(space.size)] = True
     protocol, invariant = _protocol(space, specs, groups, mask)
     _assert_ranks_match_edge_bfs(protocol, invariant)
+    _assert_cylinders_match_pairs(protocol)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -533,6 +593,7 @@ def test_tensor_ranks_on_domain_one_and_infinite_rank_states(seed):
     mask = (values["d"] == 0) & (values["b"] == values["c"] % 2)
     protocol, invariant = _protocol(space, specs, groups, mask)
     ranking = _assert_ranks_match_edge_bfs(protocol, invariant)
+    _assert_cylinders_match_pairs(protocol)
     assert tables[2].n_candidate_groups == 0
     assert ranking.pim_groups[2] == set() and ranking.pim_groups[3] == set()
     assert (ranking.rank[values["d"] == 1] == INF_RANK).all()
@@ -575,3 +636,24 @@ def test_rvals_intersecting_matches_gather_on_builtin_protocols(build):
             assert np.array_equal(
                 rvals_intersecting(table, mask), ref.rvals_intersecting(table, mask)
             )
+    _assert_cylinders_match_pairs(protocol)
+
+
+def _assert_cylinders_match_pairs(protocol):
+    """``cylinder_rows`` lays out each rcode's sources in ``pairs`` order,
+    and ``target_rcodes`` names the cylinder of each group's targets."""
+    states = np.arange(protocol.space.size)
+    for table in protocol.tables:
+        rows = table.cylinder_rows(states)
+        for rcode in range(table.n_rvals):
+            assert np.array_equal(
+                rows[table.cylinder_row[rcode]], table.sources(rcode)
+            )
+        candidates = list(table.iter_candidate_groups())
+        if not candidates:
+            continue
+        rcodes, wcodes = map(list, zip(*candidates))
+        targets = table.target_rcodes(rcodes, wcodes)
+        for (rcode, wcode), target in zip(candidates, targets):
+            _src, dst = table.pairs(rcode, wcode)
+            assert np.array_equal(rows[table.cylinder_row[target]], dst)

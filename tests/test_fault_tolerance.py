@@ -322,7 +322,8 @@ class TestCacheHardening:
         assert winner.success
         fp = protocol_fingerprint(*token_ring(4, 3))
         path = os.path.join(tmp_path, config_key(fp, CFG_A) + ".json")
-        payload = open(path).read()
+        with open(path) as handle:
+            payload = handle.read()
         with open(path, "w") as handle:
             handle.write(payload[: len(payload) // 2])  # torn write
         warm, _ = self._cold_run(tmp_path)
@@ -338,8 +339,8 @@ class TestCacheHardening:
         assert winner.success
         fp = protocol_fingerprint(*token_ring(4, 3))
         path = os.path.join(tmp_path, config_key(fp, CFG_A) + ".json")
-        with pytest.raises(json.JSONDecodeError):
-            json.load(open(path))
+        with open(path) as handle, pytest.raises(json.JSONDecodeError):
+            json.load(handle)
         warm, _ = self._cold_run(tmp_path)
         assert warm.success and not warm.cached
         assert os.path.exists(path + ".corrupt")
@@ -379,7 +380,8 @@ class TestCacheHardening:
         assert winner.success
         fp = protocol_fingerprint(*token_ring(4, 3))
         path = os.path.join(tmp_path, config_key(fp, CFG_A) + ".json")
-        record = json.load(open(path))
+        with open(path) as handle:
+            record = json.load(handle)
         protocol, _ = token_ring(4, 3)
         # claim the *input* protocol's groups are the solution: valid JSON,
         # wrong answer (no recovery was added, deadlocks remain)

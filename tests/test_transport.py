@@ -490,6 +490,7 @@ class TestTcpRace:
         finally:
             proc.kill()
             proc.wait(timeout=10)
+            proc.stdout.close()
 
 
 class TestNetworkFaultDrills:
