@@ -258,20 +258,18 @@ class ConvergenceCertificate:
             raise CertificateError(f"certificate is not valid JSON: {exc}") from exc
         return cls.from_payload(payload)
 
-    def save(self, path: str | os.PathLike) -> str:
+    def save(self, path: str | os.PathLike, *, fault_plan=None) -> str:
         """Write the certificate to ``path`` (atomic tmp + rename).
 
-        Honours an active fault plan's ``corrupt_certificate`` knob (site
+        Honours ``fault_plan``'s ``corrupt_certificate`` knob (site
         ``cert.write``, matched against the file name) — the CI drill that
         proves a tampered artifact is rejected downstream.
         """
-        from ..faults.runtime import active_fault_plan, should_corrupt_cert
+        from ..faults.runtime import should_corrupt_cert
 
         path = os.fspath(path)
         payload = self.to_payload()
-        if should_corrupt_cert(
-            "cert.write", os.path.basename(path), active_fault_plan()
-        ):
+        if should_corrupt_cert("cert.write", os.path.basename(path), fault_plan):
             payload = tamper_certificate_payload(payload)
         tmp = path + ".tmp"
         with open(tmp, "w") as handle:

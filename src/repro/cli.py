@@ -378,13 +378,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_certify(args) -> int:
     """Synthesize and write a standalone convergence certificate."""
-    from .faults import runtime as fault_runtime
     from .faults.runtime import FaultPlan
 
-    # honour REPRO_FAULT_PLAN (the corrupt-cert drill) outside the
-    # portfolio runtime, which installs the plan itself
-    if fault_runtime.active_fault_plan() is None:
-        fault_runtime.install_fault_plan(FaultPlan.from_env())
     protocol, invariant = _build(args)
     t0 = time.perf_counter()
     if args.mode == "weak":
@@ -414,7 +409,8 @@ def _cmd_certify(args) -> int:
             return 1
         cert = portfolio.result.certificate()
     elapsed = time.perf_counter() - t0
-    cert.save(args.out)
+    # REPRO_FAULT_PLAN's corrupt_certificate knob drives the CI tamper drill
+    cert.save(args.out, fault_plan=FaultPlan.from_env())
     print(
         f"certificate: mode={cert.mode} engine={cert.engine} "
         f"encoding={cert.encoding} max_rank={cert.max_rank} "

@@ -9,15 +9,17 @@ instances is enforced by the test suite.
 The transition relation flows through the engine as frameless clustered
 partitions (:meth:`SymbolicProtocol.clustered_partitions`, see
 :mod:`repro.symbolic.partition`) and cycles are detected with Gentilini
-et al.'s algorithm, the paper's ``Detect_SCC``; the rank-decrease shortcut
-keeps one "down" BDD per write set so it works against frameless
-partitions, and pass boundaries run a mark-and-sweep GC rooted at the live
-synthesis state (:meth:`SymbolicSynthesisState.gc_roots`).
+et al.'s algorithm, the paper's ``Detect_SCC``.  ``Add_Recovery`` builds
+one process's recovery candidates (Fig. 3) as a single relational product
+over its read bits and next write bits and reads the groups off that small
+BDD.  Pass boundaries run a mark-and-sweep GC rooted at the live synthesis
+state (:meth:`SymbolicSynthesisState.gc_roots`) plus the ranking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Sequence
 
 from ..bdd import ZERO
@@ -68,59 +70,6 @@ class SymbolicSynthesisState:
             {} for _ in range(protocol.n_processes)
         ]
         self._rcube2_cache: dict[tuple[int, int, int], int] = {}
-        # Rank-decrease shortcut (sound by Lemma IV.2): while every
-        # transition of pss|¬I strictly decreases the rank, the relation is
-        # acyclic and Identify_Resolve_Cycles can accept candidates whose
-        # transitions also all decrease rank, with no SCC search at all.
-        self._ranks: list[int] | None = None
-        # "down" BDDs ∨_i (Rank_i ∧ Rank_{i-1} at the successor), keyed by
-        # a Partition's write_next: the subset rename that evaluates a
-        # predicate at the successor of a frameless transition (unwritten
-        # variables read current bits).
-        self._down_cache: dict[tuple[int, ...], int] = {}
-        self._all_decreasing = False
-
-    def install_rank_shortcut(self, ranking: "SymbolicRanking") -> None:
-        """Enable the Lemma-IV.2 acyclicity shortcut from a ranking."""
-        self._ranks = ranking.ranks
-        self._down_cache = {}
-        self._all_decreasing = all(
-            self._relation_is_decreasing(rel) for rel in self.relations
-        )
-
-    def _down_for(self, part: Partition) -> int:
-        """``∨_i Rank_i ∧ Rank_{i-1}[successor]`` for one write set."""
-        assert self._ranks is not None
-        key = part.write_next
-        cached = self._down_cache.get(key)
-        if cached is None:
-            sym = self.sp.sym
-            mapping = dict(part.cur_to_next)
-            cached = ZERO
-            for i in range(1, len(self._ranks)):
-                cached = sym.bdd.or_(
-                    cached,
-                    sym.bdd.and_(
-                        self._ranks[i],
-                        sym.bdd.rename(self._ranks[i - 1], mapping),
-                    ),
-                )
-            self._down_cache[key] = cached
-        return cached
-
-    def _relation_is_decreasing(self, relation: Partition) -> bool:
-        """Is every ``¬I -> ¬I`` transition of ``relation`` strictly
-        rank-decreasing (from Rank[i] into Rank[i-1])?
-
-        The successor-side predicates are renamed only on the partition's
-        written bits — against a full-frame ``down`` the unconstrained
-        unwritten next bits would spuriously fail the check.
-        """
-        sym = self.sp.sym
-        not_i = self.not_i
-        succ_not_i = sym.bdd.rename(not_i, dict(relation.cur_to_next))
-        restricted = sym.bdd.and_(sym.bdd.and_(relation.rel, not_i), succ_not_i)
-        return sym.bdd.diff(restricted, self._down_for(relation)) == ZERO
 
     def _rebuild_relations(self) -> None:
         sym = self.sp.sym
@@ -172,10 +121,6 @@ class SymbolicSynthesisState:
     def commit_group(self, j: int, rcode: int, wcode: int) -> None:
         sym = self.sp.sym
         gid = (j, rcode, wcode)
-        if self._all_decreasing and self._ranks is not None:
-            self._all_decreasing = self._relation_is_decreasing(
-                self.sp.group_partition(gid)
-            )
         self.pss_groups[j].add((rcode, wcode))
         self.added_groups[j].add((rcode, wcode))
         ci = self.sp.cluster_index(j)
@@ -202,9 +147,6 @@ class SymbolicSynthesisState:
         for part in self.relations:
             yield part.rel
         yield from self._rcube2_cache.values()
-        if self._ranks is not None:
-            yield from self._ranks
-        yield from self._down_cache.values()
 
     def collect_garbage(self, extra_roots: Sequence[int] = ()) -> int:
         """Mark-and-sweep the BDD manager with this state's roots
@@ -224,15 +166,6 @@ def identify_resolve_cycles_symbolic(
     if not candidates:
         return set()
     sym = state.sp.sym
-    if state._all_decreasing and state._ranks is not None:
-        # a union decreases rank iff every disjunct does, so candidates
-        # can be checked one by one against the cached per-write-set downs
-        if all(
-            state._relation_is_decreasing(state.sp.group_partition(g))
-            for g in candidates
-        ):
-            state.stats.bump("scc_skipped_by_rank_shortcut")
-            return set()
     state.stats.bump("identify_resolve_cycles_calls")
     with state.stats.timer("scc"), state.stats.tracer.span(
         "identify_resolve_cycles", n_candidates=len(candidates)
@@ -308,6 +241,90 @@ def identify_resolve_cycles_symbolic(
     return bad
 
 
+def _group_codes(sym, table, f: int) -> set[tuple[int, int]]:
+    """The ``(rcode, wcode)`` pairs of ``f``, a BDD over one process's
+    read bits (current copy) and write bits (next copy)."""
+    columns = [
+        (sym.cur_levels[v], sym.space.variables[v].domain_size)
+        for v in table.read_vars
+    ] + [
+        (sym.next_levels[v], sym.space.variables[v].domain_size)
+        for v in table.write_vars
+    ]
+    n_read = len(table.read_vars)
+    codes = set()
+    for path in sym.bdd.iter_sat(f):
+        choices = []
+        for bits, domain in columns:
+            # (bit weight, polarity) of the bits the path fixes
+            fixed = [
+                (len(bits) - 1 - i, path[b])
+                for i, b in enumerate(bits)
+                if b in path
+            ]
+            choices.append(
+                [
+                    val
+                    for val in range(domain)
+                    if all(bool(val >> shift & 1) == pol for shift, pol in fixed)
+                ]
+            )
+        for values in product(*choices):
+            codes.add(
+                (
+                    table.rcode_of_values(values[:n_read]),
+                    table.wcode_of_values(values[n_read:]),
+                )
+            )
+    return codes
+
+
+def recovery_candidates(
+    state: SymbolicSynthesisState,
+    from_set: int,
+    to_set: int,
+    process: int,
+    *,
+    rule_out_deadlock_targets: bool,
+    deadlocks: int | None = None,
+) -> list[GroupId]:
+    """The groups ``Add_Recovery`` offers for one process, in
+    ``(rcode, wcode)`` order: each has a transition from ``from_set`` into
+    ``to_set`` and passes C1, C4 (when ``rule_out_deadlock_targets``), is
+    no self write and is not yet in ``pss``."""
+    sym = state.sp.sym
+    bdd = sym.bdd
+    table = state.sp.protocol.tables[process]
+    read = set(table.read_vars)
+    unread_bits = [
+        b for v, bits in enumerate(sym.cur_levels) if v not in read for b in bits
+    ]
+    w_to_next = {
+        c: n
+        for v in table.write_vars
+        for c, n in zip(sym.cur_levels[v], sym.next_levels[v])
+    }
+    # Fig. 3's candidate set as one relational product over j's read bits
+    # and next write bits: (r, w') such that some unreadable valuation u
+    # has (r, u) in from_set and (r[W := w'], u) in to_set
+    cand = bdd.and_exists(from_set, bdd.rename(to_set, w_to_next), unread_bits)
+    if rule_out_deadlock_targets:
+        if deadlocks is None:
+            deadlocks = state.deadlocks()
+        # C4: no deadlock state has the readable valuation after the write
+        cand = bdd.diff(
+            cand, bdd.rename(bdd.exists(unread_bits, deadlocks), w_to_next)
+        )
+    pss_j = state.pss_groups[process]
+    return [
+        (process, rcode, wcode)
+        for rcode, wcode in sorted(_group_codes(sym, table, cand))
+        if wcode != table.self_wcode[rcode]
+        and (rcode, wcode) not in pss_j
+        and not state.rcode_touches_i(process, rcode)  # C1
+    ]
+
+
 def add_recovery_symbolic(
     state: SymbolicSynthesisState,
     from_set: int,
@@ -318,36 +335,14 @@ def add_recovery_symbolic(
     deadlocks: int | None = None,
 ) -> int:
     """Symbolic ``Add_Recovery`` for one process; returns #groups committed."""
-    sym = state.sp.sym
-    bdd = sym.bdd
-    table = state.sp.protocol.tables[process]
-    read_bits = [
-        b for v in table.read_vars for b in sym.cur_levels[v]
-    ]
-    if rule_out_deadlock_targets and deadlocks is None:
-        deadlocks = state.deadlocks()
-    pss_j = state.pss_groups[process]
-
-    candidates: list[GroupId] = []
-    for rcode in range(table.n_rvals):
-        if state.rcode_touches_i(process, rcode):
-            continue  # C1
-        src = bdd.and_(state.sp.rcube(process, rcode), from_set)
-        if src == ZERO:
-            continue
-        src_u = bdd.exists(read_bits, src)  # as a function of unreadables
-        self_w = int(table.self_wcode[rcode])
-        for wcode in range(table.n_wvals):
-            if wcode == self_w or (rcode, wcode) in pss_j:
-                continue
-            rcube2 = state.rcube_after_write(process, rcode, wcode)
-            if rule_out_deadlock_targets and bdd.and_(rcube2, deadlocks) != ZERO:
-                continue  # C4
-            dst_u = bdd.exists(read_bits, bdd.and_(rcube2, to_set))
-            if bdd.and_(src_u, dst_u) == ZERO:
-                continue
-            candidates.append((process, rcode, wcode))
-
+    candidates = recovery_candidates(
+        state,
+        from_set,
+        to_set,
+        process,
+        rule_out_deadlock_targets=rule_out_deadlock_targets,
+        deadlocks=deadlocks,
+    )
     if not candidates:
         return 0
     committed = 0
@@ -584,7 +579,6 @@ def add_strong_convergence_symbolic(
             ranking = compute_ranks_symbolic(
                 sp, state.invariant, tracer=stats.tracer
             )
-        state.install_rank_shortcut(ranking)
         if not ranking.admits_stabilization():
             raise NoStabilizingVersionError(
                 f"{ranking.n_unreachable()} states have rank ∞; no "
@@ -614,8 +608,9 @@ def add_strong_convergence_symbolic(
             return make_result(True, 0)
 
         sym = sp.sym
-        # ranking roots beyond what the state itself tracks
-        gc_extra = (ranking.unreachable,)
+        # ranking roots beyond what the state itself tracks: the passes
+        # read every rank, and nothing else keeps them alive
+        gc_extra = (ranking.unreachable, *ranking.ranks)
         # Dead intermediates of the closure/SCC/ranking phases are the bulk
         # of the manager at this point; sweep them before the passes start
         # and again at every pass boundary so no pass drags the previous

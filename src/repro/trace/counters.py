@@ -93,7 +93,6 @@ SECTIONS: tuple[Section, ...] = (
         "partitioned relations, SCC tasks and pass-boundary GC",
         _unlabelled(
             "symbolic.partition_count",
-            "scc_skipped_by_rank_shortcut",
             "scc_skipped_by_backward_check",
             "scc.gentilini_tasks",
             "scc.xie_beerel_picks",

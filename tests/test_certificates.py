@@ -252,18 +252,13 @@ class TestViolations:
     def test_corrupt_cert_write_drill(self, ring, strong_cert, tmp_path):
         # the CI drill: REPRO_FAULT_PLAN tampers the saved artifact and the
         # checker must reject what lands on disk
-        from repro.faults import runtime as fault_runtime
         from repro.faults.runtime import FaultPlan
 
         protocol, invariant = ring
-        previous = fault_runtime.active_fault_plan()
-        fault_runtime.install_fault_plan(
-            FaultPlan(corrupt_certificate="cert.write@drill")
+        path = strong_cert.save(
+            tmp_path / "drill.cert.json",
+            fault_plan=FaultPlan(corrupt_certificate="cert.write@drill"),
         )
-        try:
-            path = strong_cert.save(tmp_path / "drill.cert.json")
-        finally:
-            fault_runtime.install_fault_plan(previous)
         loaded = ConvergenceCertificate.load(path)
         check, violation = validate_certificate(protocol, invariant, loaded)
         assert check is None
