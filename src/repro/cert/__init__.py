@@ -30,7 +30,7 @@ from .emit import (
     longest_path_ranks,
     shortest_path_ranks,
 )
-from .trust import TrustVerdict, trust_outcome
+from .trust import trust_outcome
 
 __all__ = [
     "CERT_SCHEMA",
@@ -48,7 +48,6 @@ __all__ = [
     "longest_path_ranks",
     "reconstruct_pss_groups",
     "shortest_path_ranks",
-    "TrustVerdict",
     "tamper_certificate_payload",
     "trust_outcome",
     "validate_certificate",

@@ -17,9 +17,12 @@ Trust argument (why accepting a certificate is sound):
    every ranked state keeps at least one decreasing successor (weak).
 
 Together these are the premises of the paper's Theorems IV.1/V.1; nothing
-else about the synthesis run needs to be believed.  Cost is one vectorised
-pass over the transitions — on the TR² winner 7.5–8× cheaper than
-``check_solution``'s re-verification, payload decode included (see
+else about the synthesis run needs to be believed, so this checker is the
+one production trust decision for strong and weak winners alike;
+``check_solution`` stays as the independent oracle of ``stsyn verify`` and
+the test and fuzz suites.  Cost is one vectorised pass over the
+transitions — on the TR² winner 7.5–8× cheaper than ``check_solution``'s
+re-verification, payload decode included (see
 ``benchmarks/test_cert_speedup.py``).
 
 Every rejection raises :class:`CertificateViolation` carrying a structured
@@ -332,8 +335,7 @@ def check_certificate(
             has_group[rcodes] = 1
             part = table.rcode_tensor(has_group)
         else:
-            part = np.zeros(rows.shape, dtype=np.uint8)
-            np.bitwise_or.at(part, src_rows, rank_dst < rank_src)
+            part = _or_rows(src_rows, rank_dst < rank_src, rows.shape)
             part = part.reshape(view.shape)
         np.bitwise_or(view, part, out=view)
     ranked = rank > 0
@@ -361,6 +363,23 @@ def check_certificate(
         n_ranked=int(ranked.sum()),
         n_edges_checked=n_edges,
     )
+
+
+def _or_rows(index: np.ndarray, values: np.ndarray, shape) -> np.ndarray:
+    """``out[i]`` = the OR of the rows ``values[k]`` with ``index[k] == i``.
+
+    The result of ``np.bitwise_or.at(out, index, values)`` on zeros, from
+    one stable sort of ``index`` and one ``reduceat`` per run of equal
+    rows: ~6x faster than that unbuffered scatter.
+    """
+    order = np.argsort(index, kind="stable")
+    by_row = index[order]
+    starts = np.flatnonzero(np.diff(by_row, prepend=-1))
+    out = np.zeros(shape, dtype=np.uint8)
+    out[by_row[starts]] = np.logical_or.reduceat(
+        values[order], starts, axis=0
+    )
+    return out
 
 
 def validate_certificate(

@@ -223,7 +223,6 @@ def _synthesize_portfolio(args) -> int:
             hard_deadline=args.hard_deadline,
             max_retries=args.max_retries,
             resume=args.resume,
-            paranoid=args.paranoid,
             worker_endpoints=endpoints,
             lease_timeout=args.lease_timeout,
         )
@@ -625,12 +624,6 @@ def make_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="write the convergence certificate of a successful synthesis "
         "(check it later with 'stsyn check-cert')",
-    )
-    p_syn.add_argument(
-        "--paranoid",
-        action="store_true",
-        help="re-verify stored or resumed winners with the full "
-        "check_solution even when they carry a valid certificate",
     )
     p_syn.set_defaults(func=_cmd_synthesize)
 

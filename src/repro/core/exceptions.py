@@ -41,13 +41,14 @@ class UnresolvableCycleError(SynthesisError):
 class SoundnessError(SynthesisError):
     """An internal consistency check failed: a bug, never an answer.
 
-    Raised when a winner the heuristic claimed has no strong certificate,
-    or its certificate fails the independent checker (``violation`` holds
-    the :class:`~repro.cert.CertificateViolation`, with its kind and
+    Raised when a strong winner the heuristic claimed has no strong
+    certificate, or when a strong or weak winner's certificate fails the
+    independent checker (``violation`` holds the
+    :class:`~repro.cert.CertificateViolation`, with its kind and
     counterexample), and when a state reported inside a cyclic SCC has no
     successor in that SCC (``state`` holds it).  Winners are checked by
-    their certificate; ``check_solution`` re-verifies only ``stsyn
-    verify`` inputs, weak results and certificate-less stored outcomes.
+    their certificate only; ``check_solution`` runs for ``stsyn verify``
+    and ``analyze`` and in the test and fuzz oracles.
     """
 
     def __init__(self, message: str, *, violation=None, state: int | None = None):
@@ -89,34 +90,6 @@ class TransportError(SynthesisError):
     the synthesis question was answered — the supervisor treats it like a
     crash and requeues the config instead of re-raising.
     """
-
-
-class LeaseExpired(TransportError):
-    """A dispatched config's lease ran out of heartbeats.
-
-    The worker holding the lease is presumed lost (network partition, dead
-    host, wedged process); the supervisor requeues the config on another
-    worker.  Carries the lease id so a late result from the original worker
-    can be recognised as stale.
-    """
-
-    def __init__(self, message: str, lease_id: str = ""):
-        super().__init__(message)
-        self.lease_id = lease_id
-
-
-class DuplicateResult(TransportError):
-    """A result arrived for a lease that is no longer active.
-
-    Happens when a partition heals after the config was re-dispatched: both
-    workers eventually answer.  The supervisor accepts a duplicate *winner*
-    only after its convergence certificate re-checks (idempotency via the
-    protocol fingerprint) and discards everything else.
-    """
-
-    def __init__(self, message: str, lease_id: str = ""):
-        super().__init__(message)
-        self.lease_id = lease_id
 
 
 class HeuristicFailure(SynthesisError):

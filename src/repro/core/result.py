@@ -38,12 +38,16 @@ class SynthesisResult:
     pass_completed: int
     #: deadlock states remaining on failure
     remaining_deadlocks: Predicate | None = None
-    verified: bool = False
     #: the unmodified input protocol — what a certificate is checked against
     input_protocol: Protocol | None = None
     #: the strong certificate ``check_winner`` emitted and checked;
     #: :meth:`certificate` returns it instead of emitting again
     checked_certificate: "ConvergenceCertificate | None" = None
+
+    @property
+    def verified(self) -> bool:
+        """True once ``check_winner`` has kept a checked certificate."""
+        return self.checked_certificate is not None
 
     @property
     def n_added(self) -> int:

@@ -87,22 +87,25 @@ class PortfolioResult:
 def check_winner(
     protocol: Protocol,
     invariant: Predicate,
-    result: SynthesisResult,
-    config: SynthesisConfig,
+    result,
+    where: str,
     tracer: Tracer | NullTracer,
 ) -> None:
-    """Certify a claimed success: emit its strong certificate and have the
+    """Certify a claimed success: emit its certificate and have the
     independent checker (:func:`repro.cert.check_certificate`) accept it.
 
-    The certificate's longest-path rank is the one proof that ``δpss|¬I``
-    is acyclic and deadlock-free; the checker re-checks it per transition,
-    pinned to the winner's groups.  The result keeps the certificate, so
-    :meth:`SynthesisResult.certificate` returns it without emitting again.
+    ``result`` is a strong :class:`SynthesisResult`, whose longest-path
+    rank is the one proof that ``δpss|¬I`` is acyclic and deadlock-free,
+    or a :class:`~repro.core.weak.WeakSynthesisResult`, whose BFS rank
+    proves every state reaches I.  The checker re-checks the rank per
+    transition, pinned to the result's groups.  The result keeps the
+    certificate, so its ``certificate()`` returns it without emitting
+    again.
 
     A winner without a strong ranking, or whose certificate the checker
-    rejects, is a bug in the heuristic, never a failed attempt: it raises
-    :class:`SoundnessError` in the sequential portfolio and in every
-    parallel worker alike.
+    rejects, is a bug, never a failed attempt: it raises
+    :class:`SoundnessError` (``where`` names the run) in the sequential
+    portfolio, in every parallel worker and in weak synthesis alike.
     """
     from ..cert import (
         CertificateEmissionError,
@@ -115,7 +118,7 @@ def check_winner(
             cert = result.certificate()
     except CertificateEmissionError as exc:
         raise SoundnessError(
-            f"heuristic claimed success but {exc} under {config.describe()}"
+            f"synthesis claimed success but {exc} under {where}"
         ) from exc
     tracer.count("cert.emitted")
     try:
@@ -125,12 +128,11 @@ def check_winner(
             )
     except CertificateViolation as violation:
         raise SoundnessError(
-            f"heuristic claimed success but its certificate was rejected: "
-            f"[{violation.kind}] {violation} under {config.describe()}",
+            f"synthesis claimed success but its certificate was rejected: "
+            f"[{violation.kind}] {violation} under {where}",
             violation=violation,
         ) from violation
     result.checked_certificate = cert
-    result.verified = True
 
 
 def synthesize(
@@ -189,7 +191,9 @@ def synthesize(
                 precompute=precompute,
             )
             if result.success:
-                check_winner(protocol, invariant, result, config, stats.tracer)
+                check_winner(
+                    protocol, invariant, result, config.describe(), stats.tracer
+                )
             remaining = (
                 0
                 if result.success

@@ -10,6 +10,7 @@ pruning is our quality-of-life extension, clearly flagged).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -18,6 +19,9 @@ from ..protocol.predicate import Predicate
 from ..protocol.protocol import Protocol
 from .exceptions import NoStabilizingVersionError, NotClosedError
 from .ranking import RankingResult, compute_ranks
+
+if TYPE_CHECKING:
+    from ..cert.certificate import ConvergenceCertificate
 
 
 def check_closure(protocol: Protocol, invariant: Predicate) -> None:
@@ -45,15 +49,21 @@ class WeakSynthesisResult:
     protocol: Protocol
     ranking: RankingResult
     stats: SynthesisStats
+    #: the weak certificate ``check_winner`` emitted and checked;
+    #: :meth:`certificate` returns it instead of emitting again
+    checked_certificate: "ConvergenceCertificate | None" = None
 
     def certificate(self):
-        """Emit the weak :class:`~repro.cert.ConvergenceCertificate`.
+        """The weak :class:`~repro.cert.ConvergenceCertificate`.
 
         The BFS rank of ``ComputeRanks`` *is* a valid weak witness here:
         every ranked state keeps its shortest-path decreasing successor in
         the result (``p_im`` contains all of them; the minimised variant
-        keeps every group that contributes one).
+        keeps every group that contributes one).  A result of
+        :func:`synthesize_weak` returns the certificate its check kept.
         """
+        if self.checked_certificate is not None:
+            return self.checked_certificate
         from ..cert.emit import emit_certificate
 
         original = self.ranking.protocol
@@ -88,6 +98,10 @@ def synthesize_weak(
     ``minimize`` the result keeps, per state, only groups that contain at
     least one rank-decreasing transition, yielding a much smaller — still
     weakly converging — protocol (extension; the paper returns ``p_im``).
+
+    The result is checked by its weak certificate through
+    :func:`~repro.core.synthesizer.check_winner` and keeps it; a
+    certificate the checker rejects raises :class:`SoundnessError`.
     """
     stats = stats if stats is not None else SynthesisStats()
     with stats.timer("total"):
@@ -120,4 +134,9 @@ def synthesize_weak(
                     kept.append(keep)
                 span["kept_groups"] = sum(len(g) for g in kept)
                 result = protocol.with_groups(kept, name=f"{protocol.name}_weak")
-    return WeakSynthesisResult(protocol=result, ranking=ranking, stats=stats)
+        weak = WeakSynthesisResult(protocol=result, ranking=ranking, stats=stats)
+        # local import: the synthesizer reaches this module via the heuristic
+        from .synthesizer import check_winner
+
+        check_winner(protocol, invariant, weak, "mode=weak", stats.tracer)
+    return weak

@@ -28,8 +28,8 @@ delete), in the same outcome encoding the TCP transport ships
 
 An entry without ``status`` reads as ``done``.  Race-cancelled losers are
 never stored.  A stored success is never taken on faith: :meth:`get`
-re-establishes trust through :func:`repro.cert.trust_outcome` and
-quarantines an entry that fails it.
+re-checks its certificate through :func:`repro.cert.trust_outcome` and
+quarantines an entry without one, or whose certificate fails.
 
 The directory doubles as the cluster's **shared content-addressed store**:
 several coordinator hosts may read and write it concurrently (over NFS or
@@ -132,7 +132,6 @@ class SynthesisCache:
         protocol,
         invariant,
         *,
-        paranoid: bool = False,
         tracer=NULL_TRACER,
         resume: bool = False,
     ):
@@ -140,11 +139,12 @@ class SynthesisCache:
 
         Only ``done`` entries answer unless ``resume`` is set, which
         replays every status and tags the outcome ``resumed`` instead of
-        ``cached``.  A stored success is trusted only through
-        :func:`repro.cert.trust_outcome` (``paranoid`` forces the full
-        ``check_solution``).  An entry that cannot be parsed, or whose
-        success is not trusted, is quarantined to ``*.corrupt`` and misses;
-        a schema mismatch is staleness, not corruption: a plain miss.
+        ``cached``.  A stored success is trusted only when
+        :func:`repro.cert.trust_outcome` accepts its certificate.  An entry
+        that cannot be parsed, or whose success is refused (no
+        certificate, or one that fails), is quarantined to ``*.corrupt``
+        and misses; a schema mismatch is staleness, not corruption: a
+        plain miss.
         """
         path = self._path(config_key(fingerprint, config))
         try:
@@ -174,14 +174,13 @@ class SynthesisCache:
             # protocol fingerprint
             from ..cert.trust import trust_outcome
 
-            if not trust_outcome(
+            if trust_outcome(
                 protocol,
                 invariant,
                 outcome.pss_groups,
                 outcome.certificate,
-                paranoid=paranoid,
                 tracer=tracer,
-            ).trusted:
+            ) is not None:
                 self._quarantine(path)
                 return None
         return outcome

@@ -131,10 +131,10 @@ class ParallelOutcome:
     #: True when the outcome was replayed from the store by ``resume=True``
     resumed: bool = False
     #: JSON payload of the :class:`ConvergenceCertificate` the worker's
-    #: winner check emitted and accepted (None when the run failed, and on
-    #: records stored before certificates existed); lets the parent — and
-    #: later store readers — re-establish trust in the recorded
-    #: ``pss_groups`` without re-running ``check_solution``
+    #: winner check emitted and accepted (None when the run failed); the
+    #: parent — and later store readers — trust the recorded
+    #: ``pss_groups`` only by re-checking it, and refuse a success without
+    #: one
     certificate: dict | None = None
 
 
@@ -210,7 +210,9 @@ def _worker(
         success = result.success
         certificate = None
         if success:
-            check_winner(protocol, invariant, result, config, tracer)
+            check_winner(
+                protocol, invariant, result, config.describe(), tracer
+            )
             certificate = result.certificate().to_payload()
         tracer.event("worker.done", success=success)
         return ParallelOutcome(
@@ -838,7 +840,6 @@ def synthesize_parallel(
     share_precompute: bool = True,
     start_method: str | None = None,
     cancel_grace: float = 2.0,
-    paranoid: bool = False,
     worker_endpoints: Sequence[str] | None = None,
     lease_timeout: float = 10.0,
     cancel_event=None,
@@ -873,13 +874,12 @@ def synthesize_parallel(
     ``resume=True`` also replays crashed-out and deadline-cancelled
     entries, so a sweep killed by SIGKILL restarts where it stopped.  A
     stored, resumed or late-arriving winner is trusted only through
-    :func:`repro.cert.trust_outcome`: its convergence certificate is
-    re-checked — several times cheaper than re-running
-    ``check_solution`` — and certificate-less records fall back to the full
-    ``check_solution``.  ``paranoid=True`` forces the full re-check even
-    when a certificate is present.  Stored records that fail are
-    quarantined and their configs re-run.  With ``trace_dir``, each worker
-    attempt writes ``worker_<index>[_r<attempt>].jsonl``, the parent writes
+    :func:`repro.cert.trust_outcome`, which re-checks its convergence
+    certificate; a record without a certificate is refused like one whose
+    certificate fails.  Refused stored records are quarantined and their
+    configs re-run; a refused late result is discarded.  With
+    ``trace_dir``, each worker attempt writes
+    ``worker_<index>[_r<attempt>].jsonl``, the parent writes
     ``portfolio.jsonl``, and everything surviving merges into
     ``merged.jsonl`` (stale traces from earlier runs are removed first).
 
@@ -961,7 +961,6 @@ def synthesize_parallel(
                 config,
                 protocol,
                 invariant,
-                paranoid=paranoid,
                 tracer=tracer,
                 resume=resume,
             )
@@ -1068,9 +1067,8 @@ def synthesize_parallel(
                     invariant,
                     outcome.pss_groups,
                     outcome.certificate,
-                    paranoid=paranoid,
                     tracer=tracer,
-                ).trusted
+                ) is None
 
             remote_fields = None
             if worker_endpoints:

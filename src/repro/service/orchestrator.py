@@ -300,8 +300,8 @@ class Orchestrator:
         self, protocol, invariant, configs, tracer
     ) -> ParallelOutcome | None:
         """The first stored success across the job's portfolio that the
-        store still trusts.  The lookup is never paranoid, so an entry with
-        a certificate is trusted through it (``job.cert_verified``).
+        store still trusts: the store re-checks its certificate
+        (``job.cert_verified``) and refuses an entry without one.
 
         A stored failure is no answer for the service (another schedule
         might succeed), so only a success short-circuits the fleet.  The

@@ -5,11 +5,12 @@ import os
 
 import pytest
 
+from repro.cert import trust_outcome
 from repro.cli import main
 from repro.faults.runtime import FaultPlan
 from repro.parallel import synthesize_parallel
 from repro.protocols import token_ring
-from repro.trace.report import summarize
+from repro.trace.report import iter_events, summarize
 
 
 def _cert_counters(trace_dir) -> dict:
@@ -18,6 +19,30 @@ def _cert_counters(trace_dir) -> dict:
     return {
         k: v for k, v in summary.counters.items() if k.startswith("cert.")
     }
+
+
+def _strip_stored_certificates(cache_dir) -> int:
+    """Set ``certificate`` to null in every stored success; returns how
+    many entries were changed."""
+    stripped = 0
+    for path in cache_dir.glob("*.json"):
+        record = json.loads(path.read_text())
+        if isinstance(record, dict) and record.get("success"):
+            record["certificate"] = None
+            path.write_text(json.dumps(record))
+            stripped += 1
+    return stripped
+
+
+def test_trust_outcome_refuses_certificate_less_record():
+    protocol, invariant = token_ring(3, 3)
+    groups = [sorted(g) for g in protocol.groups]
+    assert trust_outcome(protocol, invariant, groups, None) == (
+        "no certificate recorded"
+    )
+    assert trust_outcome(protocol, invariant, None, {}) == (
+        "no solution groups recorded"
+    )
 
 
 class TestPortfolioTrustPath:
@@ -46,17 +71,34 @@ class TestPortfolioTrustPath:
         assert counters.get("cert.check_pass", 0) >= 1
         assert counters.get("cert.check_fail", 0) == 0
 
-    def test_paranoid_skips_certificate_fast_path(self, tmp_path):
+    @pytest.mark.parametrize("resume", [False, True])
+    def test_certificate_less_stored_winner_quarantined(
+        self, tmp_path, resume
+    ):
+        """A stored success without a certificate is refused, not
+        re-verified another way: the entry is quarantined, the config
+        re-races, and the new winner carries a certificate."""
         cache_dir, trace_dir = tmp_path / "cache", tmp_path / "trace"
         synthesize_parallel(
             token_ring, (3, 3), n_workers=2, cache_dir=cache_dir
         )
+        assert _strip_stored_certificates(cache_dir) >= 1
         winner, _ = synthesize_parallel(
             token_ring, (3, 3), n_workers=2, cache_dir=cache_dir,
-            trace_dir=trace_dir, paranoid=True,
+            trace_dir=trace_dir, resume=resume,
         )
-        assert winner.cached  # still trusted — via the full check_solution
-        assert _cert_counters(trace_dir).get("cert.check_pass", 0) == 0
+        assert winner.success and winner.certificate is not None
+        assert not (winner.cached or winner.resumed)
+        assert list(cache_dir.glob("*.json.corrupt"))
+        parent = os.path.join(trace_dir, "portfolio.jsonl")
+        counters = summarize([parent]).counters
+        assert counters.get("portfolio.cache_quarantined", 0) >= 1
+        errors = [
+            record["attrs"]["error"]
+            for record in iter_events(parent)
+            if record.get("name") == "cert.check_failed"
+        ]
+        assert errors and set(errors) == {"no certificate recorded"}
 
     def test_journal_resume_reverifies_certificate(self, tmp_path):
         cache_dir = tmp_path / "cache"

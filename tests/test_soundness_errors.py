@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import repro.cert.emit as emit
-import repro.cert.trust as trust
 import repro.verify.stabilization as stabilization
 from repro import SoundnessError, SynthesisError, synthesize
 from repro.cert import CertificateViolation
@@ -123,7 +122,6 @@ def test_winning_run_calls_no_check_solution(monkeypatch):
         raise AssertionError("check_solution ran on a winner")
 
     monkeypatch.setattr(stabilization, "check_solution", forbidden)
-    monkeypatch.setattr(trust, "check_solution", forbidden)
     protocol, invariant = token_ring(3, 3)
     assert synthesize(protocol, invariant).result.verified
     winner, _ = synthesize_parallel(token_ring, (3, 3), n_workers=1)

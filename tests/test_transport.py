@@ -21,12 +21,7 @@ import time
 
 import pytest
 
-from repro.core.exceptions import (
-    DuplicateResult,
-    LeaseExpired,
-    SynthesisError,
-    TransportError,
-)
+from repro.core.exceptions import SynthesisError, TransportError
 from repro.core.heuristic import HeuristicOptions
 from repro.core.synthesizer import SynthesisConfig
 from repro.faults.runtime import FaultPlan, heal_partition
@@ -40,6 +35,7 @@ from repro.parallel import (
     sweep_partials,
     synthesize_parallel,
 )
+from repro.parallel import pool
 from repro.parallel.pool import ParallelOutcome
 from repro.parallel.transport import (
     FrameBuffer,
@@ -53,7 +49,7 @@ from repro.parallel.transport import (
     resolve_builder,
 )
 from repro.protocols import token_ring
-from repro.trace.report import summarize
+from repro.trace.report import iter_events, summarize
 from repro.verify import check_solution
 
 CFG_A = SynthesisConfig((1, 2, 3, 0), HeuristicOptions())
@@ -194,12 +190,6 @@ class TestCodecs:
 class TestTypedExceptions:
     def test_hierarchy(self):
         assert issubclass(TransportError, SynthesisError)
-        assert issubclass(LeaseExpired, TransportError)
-        assert issubclass(DuplicateResult, TransportError)
-
-    def test_lease_id_carried(self):
-        assert LeaseExpired("gone", lease_id="lease-7").lease_id == "lease-7"
-        assert DuplicateResult("again", lease_id="lease-9").lease_id == "lease-9"
 
 
 # ----------------------------------------------------------------------
@@ -550,6 +540,46 @@ class TestNetworkFaultDrills:
         assert counters.get("cert.check_pass", 0) >= 1
         # the upgraded winner replaced the crashed-out settle
         assert not any(o.crashed for o in completed)
+        servers[0].shutdown()
+
+    def test_stale_lease_result_without_certificate_discarded(
+        self, tmp_path, monkeypatch
+    ):
+        """The same late result with its certificate stripped claims a
+        success nothing can re-check: it is refused and discarded, and
+        the config stays crashed out."""
+        real_decode = pool._Supervisor._decode
+
+        def without_certificate(self, message, job):
+            outcome = real_decode(self, message, job)
+            outcome.certificate = None
+            return outcome
+
+        monkeypatch.setattr(pool._Supervisor, "_decode", without_certificate)
+        servers, endpoints = _serve(1)
+        plan = FaultPlan(
+            stale_lease="schedule=(1, 2, 3, 0)", stale_lease_seconds=3.0
+        )
+        winner, completed = synthesize_parallel(
+            token_ring, (4, 3),
+            configs=[CFG_A],
+            worker_endpoints=endpoints,
+            trace_dir=tmp_path,
+            fault_plan=plan,
+            lease_timeout=2.0,
+            max_retries=0,
+        )
+        assert not winner.success and winner.crashed
+        counters = _counters(tmp_path)
+        assert counters.get("transport.duplicate_results", 0) == 1
+        assert counters.get("transport.duplicates_accepted", 0) == 0
+        assert counters.get("cert.check_pass", 0) == 0
+        errors = [
+            record["attrs"]["error"]
+            for record in iter_events(os.path.join(tmp_path, "portfolio.jsonl"))
+            if record.get("name") == "cert.check_failed"
+        ]
+        assert errors == ["no certificate recorded"]
         servers[0].shutdown()
 
     def test_duplicate_result_frame_counted_and_discarded(self, tmp_path):
